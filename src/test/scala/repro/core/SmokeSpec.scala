@@ -1,8 +1,10 @@
 package repro.core
 
-import repro.{SparkSpec, TestWorld}
+import repro.{RunFingerprint, SparkSpec, TestWorld}
+import repro.clustering.RowSimilarity
 import repro.eval.{Experiment, Metrics}
-import repro.newdetect.DetectedNew
+import repro.fusion.Voting
+import repro.newdetect.{DetectedNew, EntitySimilarity}
 import repro.world.Schemas
 
 /** End-to-end smoke test: generate the world, run the full two-iteration
@@ -11,6 +13,13 @@ import repro.world.Schemas
   */
 class SmokeSpec extends SparkSpec {
   lazy val ctx = TestWorld.ctx
+  private val cls = Schemas.GFPlayer
+  /** Models learned on gold folds 0 and 1; fold 2 is held out. */
+  private lazy val models = {
+    val learn = (ctx.folds(0) ++ ctx.folds(1)).toSet
+      .intersect(ctx.goldClustersOf(cls).map(_.entityId).toSet)
+    Experiment.learnFold(ctx, cls, learn)
+  }
 
   test("world generation produces entities, a KB and a corpus") {
     assert(ctx.world.entities.nonEmpty)
@@ -19,12 +28,24 @@ class SmokeSpec extends SparkSpec {
     assert(ctx.gold.clusters.nonEmpty)
   }
 
+  test("iteration 1 on the memoized stage outputs equals iteration 1 on fresh ones") {
+    import spark.implicits._
+    val pipe = ctx.pipe
+    val fresh = PipelineRunner.runIteration1(pipe, cls, ctx.attrModel1, models)
+    val freshRun = ClassRun(cls, fresh.corr, fresh.clusters, fresh.entities, fresh.detections, Nil)
+    val (feats, comps) = ctx.pairStage1(cls)
+    val clusters = pipe.cluster(feats, comps, models.clusterAgg,
+                                RowSimilarity.featureIndices(models.clusterMetrics))
+    val entities = pipe.entities(ctx.profiles1(cls).toDS(), clusters, Voting, Map.empty).collect().toSeq
+    val detections = pipe.detect(cls, entities.toDS(), models.detectAgg,
+      EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)
+    val memoRun = ClassRun(cls, ctx.corr1, clusters, entities, detections, Nil)
+    assert(RunFingerprint.lines(memoRun) == RunFingerprint.lines(freshRun))
+  }
+
   test("full pipeline run on GF-Player produces clusters, entities and detections") {
-    val cls = Schemas.GFPlayer
-    val learn = (ctx.folds(0) ++ ctx.folds(1)).toSet
-      .intersect(ctx.goldClustersOf(cls).map(_.entityId).toSet)
-    val models = Experiment.learnFold(ctx, cls, learn)
     val run = Experiment.fullRun(ctx, cls, models)
+    info(s"fullRun fingerprint ${RunFingerprint.sha256(run)}")
 
     assert(run.clusters.nonEmpty, "clusters must not be empty")
     assert(run.entities.nonEmpty, "entities must not be empty")
