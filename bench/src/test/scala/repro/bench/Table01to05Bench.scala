@@ -91,8 +91,6 @@ class Table04CorpusMatchBench extends SparkSpec {
     val cands = ctx.pipe.rowCands.collect()
       .map(r => ((r.getLong(0), r.getInt(1)), r.getString(2)))
       .groupBy(_._1).map { case (k, xs) => k -> xs.map(_._2) }
-    val factsByUri = ctx.kb.factsSeq.groupBy(_.uri)
-      .map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap }
 
     val rows = BenchWorld.classes.map { cls =>
       val clsTables = predicted.filter(_._2 == cls).keySet
@@ -107,7 +105,7 @@ class Table04CorpusMatchBench extends SparkSpec {
             val prop = corr(ck)._1
             val dt = ctx.schema.getOrElse(prop, repro.core.DataType.Text)
             val eq = uris.exists { u =>
-              factsByUri.get(u).flatMap(_.get(prop))
+              ctx.kb.factsByUri.get(u).flatMap(_.get(prop))
                 .exists(f => repro.core.TypeSim.equal(dt, c.raw, f))
             }
             if (eq) vMatched += 1 else vUnmatched += 1

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.PipelineRunner
 import repro.eval.{Experiment, Metrics}
 import repro.fusion.{EntityCreation, FusionScoring, KBT, Matching, Voting}
 import repro.newdetect.{DetectedExisting, DetectedNew, Detection, NewDetector}
@@ -21,19 +22,15 @@ class Table10FactsBench extends SparkSpec {
     def add(k: (String, String, String), v: Double): Unit =
       acc.getOrElseUpdate(k, scala.collection.mutable.ArrayBuffer.empty) += v
 
-    // KBT trust over the iteration-1 mapping (shared by the GS runs)
-    lazy val trust1 = ctx.pipe.columnTrust(ctx.corr1.map { case (k, v) => k -> v._1 })
+    // column scores over the iteration-1 mapping (shared by the GS runs)
+    val scores1 = scorings.map { case (name, s) =>
+      name -> PipelineRunner.fusionScores(ctx.pipe, ctx.corr1, s)
+    }.toMap
 
     BenchWorld.classes.foreach { cls =>
       val allClusters = ctx.goldClustersOf(cls).map(_.entityId).toSet
-      def colScores(s: FusionScoring, corr: Map[Long, (String, Double)],
-                    trust: => Map[Long, Double]): Map[Long, Double] = s match {
-        case Voting => Map.empty
-        case Matching => corr.map { case (k, v) => k -> v._2 }
-        case KBT => trust
-      }
       val gsEnts = scorings.map { case (name, s) =>
-        name -> Experiment.goldEntities(ctx, cls, allClusters, s, colScores(s, ctx.corr1, trust1))
+        name -> Experiment.goldEntities(ctx, cls, allClusters, s, scores1(name))
       }.toMap
       val perfect: Map[Long, Detection] = allClusters.toSeq.map { gid =>
         val c = ctx.gold.clusterById(gid)
@@ -64,8 +61,7 @@ class Table10FactsBench extends SparkSpec {
           val run = BenchWorld.cvRun(cls, fold)
           val relevant = run.profiles.groupBy(p => run.clusters.getOrElse(p.rowKey, p.rowKey))
             .filter(_._2.exists(p => ctx.rowGoldAll.contains(p.rowKey)))
-          val cs = colScores(s, run.attrCorr,
-            ctx.pipe.columnTrust(run.attrCorr.map { case (k, v) => k -> v._1 }))
+          val cs = PipelineRunner.fusionScores(ctx.pipe, run.attrCorr, s)
           val rebuilt = relevant.toSeq.sortBy(_._1).map { case (cid, profs) =>
             EntityCreation.fromRows(cid, profs, ctx.schema, s, cs)
           }

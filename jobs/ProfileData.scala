@@ -1,8 +1,6 @@
 package jobs
 
-import org.apache.spark.sql.SparkSession
-import repro.eval.Experiment
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.world.Schemas
 
 /** spark-submit entrypoint: data profiles (paper Tables 1-5) for the
   * synthetic KB, corpus and gold standard.
@@ -10,12 +8,9 @@ import repro.world.{CorpusConfig, Schemas, WorldConfig}
   */
 object ProfileData {
   def main(args: Array[String]): Unit = {
-    val scale = args.headOption.getOrElse("test")
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("profile-data").getOrCreate()
-    val (w, c) = if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
-                 else (WorldConfig.test(), CorpusConfig.test())
-    val ctx = Experiment.build(spark, w, c)
+    val ctx = JobSetup.context("profile-data", args.headOption.getOrElse("test"),
+      "spark-submit --class jobs.ProfileData repro.jar [test|bench]")
+    val spark = ctx.spark
 
     println("[Table 1] instances and facts per class")
     ctx.kb.classProfile(Schemas.mainClasses).show(false)

@@ -1,8 +1,7 @@
 package jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.{Experiment, Metrics}
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.world.Schemas
 
 /** spark-submit entrypoint: full gold-standard evaluation (paper Tables
   * 9/10) for one class. Usage:
@@ -12,12 +11,8 @@ import repro.world.{CorpusConfig, Schemas, WorldConfig}
 object RunGoldEvaluation {
   def main(args: Array[String]): Unit = {
     val cls = args.headOption.getOrElse(Schemas.GFPlayer)
-    val scale = args.lift(1).getOrElse("test")
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"gold-eval-$cls").getOrCreate()
-    val (w, c) = if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
-                 else (WorldConfig.test(), CorpusConfig.test())
-    val ctx = Experiment.build(spark, w, c)
+    val ctx = JobSetup.context(s"gold-eval-$cls", args.lift(1).getOrElse("test"),
+      "spark-submit --class jobs.RunGoldEvaluation repro.jar [className] [test|bench]")
     val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
     val folds = ctx.folds
     (0 until 3).foreach { fold =>
@@ -32,6 +27,6 @@ object RunGoldEvaluation {
       println(f"[fold $fold] new-instances P=${prf.precision}%.3f R=${prf.recall}%.3f " +
               f"F1=${prf.f1}%.3f | facts F1=${facts.f1}%.3f")
     }
-    spark.stop()
+    ctx.spark.stop()
   }
 }

@@ -1,9 +1,8 @@
 package jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.{Experiment, Metrics}
 import repro.matching.Keys
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.world.Schemas
 
 /** spark-submit entrypoint: large-scale profiling run (paper Tables 11/12)
   * over the whole synthetic corpus. Usage:
@@ -12,12 +11,8 @@ import repro.world.{CorpusConfig, Schemas, WorldConfig}
 object RunLargeScale {
   def main(args: Array[String]): Unit = {
     val cls = args.headOption.getOrElse(Schemas.GFPlayer)
-    val scale = args.lift(1).getOrElse("bench")
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"large-scale-$cls").getOrCreate()
-    val (w, c) = if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
-                 else (WorldConfig.test(), CorpusConfig.test())
-    val ctx = Experiment.build(spark, w, c)
+    val ctx = JobSetup.context(s"large-scale-$cls", args.lift(1).getOrElse("bench"),
+      "spark-submit --class jobs.RunLargeScale repro.jar [className] [test|bench]")
     val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
     val models = Experiment.learnFold(ctx, cls, all)
     val run = Experiment.fullRun(ctx, cls, models)
@@ -38,6 +33,6 @@ object RunLargeScale {
       .sortBy(-_._2._2).foreach { case (p, (n, d)) =>
         println(f"[Table 12] $cls $p facts=$n density=${d * 100}%.2f%%")
       }
-    spark.stop()
+    ctx.spark.stop()
   }
 }

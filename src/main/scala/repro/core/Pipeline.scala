@@ -60,8 +60,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
     val profDF = profilesDS.toDF()
     val blocks = Blocking.rowBlocks(spark, profDF).localCheckpoint()
     val pairs = Blocking.candidatePairs(spark, blocks)
-    val schema = kb.schemaByClass.values.flatten.toMap
-    val feats = PairFeatures.compute(spark, profilesDS, pairs, schema).localCheckpoint()
+    val feats = PairFeatures.compute(spark, profilesDS, pairs, kb.propertyTypes).localCheckpoint()
     val blockSeq = blocks.collect().map(r => (r.getLong(0), r.getString(1))).toSeq
     val allRows = profDF.select($"rowKey").as[Long].collect().toSeq
     val comps = Blocking.components(blockSeq, allRows)
@@ -79,10 +78,9 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
     * KB fact of the row's best label-candidate instance.
     */
   def columnTrust(attrCorr: Map[Long, String]): Map[Long, Double] = {
-    val factsByUriB = spark.sparkContext.broadcast(
-      kb.factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap })
+    val factsByUriB = spark.sparkContext.broadcast(kb.factsByUri)
     val attrB = spark.sparkContext.broadcast(attrCorr)
-    val schemaB = spark.sparkContext.broadcast(kb.schemaByClass.values.flatten.toMap)
+    val schemaB = spark.sparkContext.broadcast(kb.propertyTypes)
     val top1 = rowCands.withColumn("rk", row_number().over(
         org.apache.spark.sql.expressions.Window
           .partitionBy($"tableId", $"rowId").orderBy($"labelSim".desc, $"uri")))
@@ -105,8 +103,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
   /** Entity creation for one class. */
   def entities(profilesDS: Dataset[RowProfile], clusters: Map[Long, Long],
                scoring: FusionScoring, colScores: Map[Long, Double]): Dataset[Entity] = {
-    val schema = kb.schemaByClass.values.flatten.toMap
-    EntityCreation.create(spark, profilesDS, clusters, schema, scoring, colScores)
+    EntityCreation.create(spark, profilesDS, clusters, kb.propertyTypes, scoring, colScores)
   }
 
   /** New detection for one class; returns entityKey -> Detection. */
@@ -114,8 +111,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
              tNew: Double, tMatch: Double): Map[Long, Detection] = {
     val snapshot = detectSnapshot(cls)
     val idx = NewDetector.tokenIndex(snapshot)
-    val schema = kb.schemaByClass.values.flatten.toMap
-    NewDetector.classify(spark, ents, idx, snapshot, schema, kb.classParents,
+    NewDetector.classify(spark, ents, idx, snapshot, kb.propertyTypes, kb.classParents,
                          agg, featIdx, tNew, tMatch)
       .collect().map {
         case (k, "", _)  => k -> (DetectedNew: Detection)
@@ -179,9 +175,9 @@ object PipelineRunner {
     val siWithin = si.map(fi.indexOf(_))
     val snapshot = pipe.detectSnapshot(cls)
     val idx = NewDetector.tokenIndex(snapshot)
-    val schema = pipe.kb.schemaByClass.values.flatten.toMap
     val cands = ents.map { e =>
-      e.entityKey -> NewDetector.candidateFeatures(e, idx, snapshot, schema, pipe.kb.classParents)
+      e.entityKey -> NewDetector.candidateFeatures(e, idx, snapshot, pipe.kb.propertyTypes,
+                                                   pipe.kb.classParents)
     }.toMap
     val x = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
     val y = scala.collection.mutable.ArrayBuffer.empty[Boolean]
@@ -202,59 +198,41 @@ object PipelineRunner {
     (agg, fi, tn, tm)
   }
 
-  /** Iteration-1 outputs handed to the second iteration (and to learning of
-    * the duplicate-based matchers).
+  /** One pipeline iteration for a class on this iteration's correspondences,
+    * row profiles and pair stage: clustering, entity creation and new
+    * detection. Iterations differ only in these inputs: iteration 2 matches
+    * its correspondences on features fed by [[priorOf]] iteration 1's runs.
     */
-  case class Iter1(corr: Map[Long, (String, Double)], clusters: Map[Long, Long],
-                   entities: Seq[Entity], detections: Map[Long, Detection],
-                   prior: PriorOutputs)
-
-  /** First iteration: schema matching without duplicate-based matchers, then
-    * clustering, entity creation and new detection.
-    */
-  def runIteration1(pipe: Pipeline, cls: String,
-                    attrModel1: AttributeMatcher.AttrModel,
-                    models: ClassModels, scoring: FusionScoring = Voting): Iter1 = {
+  def runIteration(pipe: Pipeline, cls: String, corr: Map[Long, (String, Double)],
+                   profiles: Dataset[RowProfile],
+                   pairStage: (Dataset[PairFeature], Map[Long, Long]),
+                   models: ClassModels, scoring: FusionScoring): ClassRun = {
     import pipe.spark.implicits._
-    val corr1 = pipe.attrCorrespondences(pipe.attrFeatures1, attrModel1)
-    val prof1 = pipe.profiles(cls, corr1.map { case (k, v) => k -> v._1 }).cache()
-    val (pf1, comps1) = pipe.pairStage(prof1)
-    val clusters1 = pipe.cluster(pf1, comps1,
+    val (feats, comps) = pairStage
+    val clusters = pipe.cluster(feats, comps,
       models.clusterAgg, RowSimilarity.featureIndices(models.clusterMetrics))
-    val ents1 = pipe.entities(prof1, clusters1, scoring,
-                              fusionScores(pipe, corr1, scoring)).collect().toSeq
-    val det1 = pipe.detect(cls, ents1.toDS(), models.detectAgg,
+    val ents = pipe.entities(profiles, clusters, scoring,
+                             fusionScores(pipe, corr, scoring)).collect().toSeq
+    val dets = pipe.detect(cls, ents.toDS(), models.detectAgg,
       EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)
-    val rowInstance = ents1.flatMap { e =>
-      det1.get(e.entityKey) match {
-        case Some(DetectedExisting(uri, _)) => e.rowKeys.map(_ -> uri)
-        case _ => Nil
+    ClassRun(cls, corr, clusters, ents, dets, profiles.collect().toSeq)
+  }
+
+  /** The outputs of class runs that feed the duplicate-based matchers of the
+    * next iteration: the union of their correspondences and clusters, and the
+    * rows of every entity detected as an existing instance.
+    */
+  def priorOf(runs: Seq[ClassRun]): PriorOutputs = PriorOutputs(
+    prelimAttr = runs.flatMap(_.attrCorr.map { case (k, v) => k -> v._1 }).toMap,
+    rowCluster = runs.flatMap(_.clusters).toMap,
+    rowInstance = runs.flatMap { run =>
+      run.entities.flatMap { e =>
+        run.detections.get(e.entityKey) match {
+          case Some(DetectedExisting(uri, _)) => e.rowKeys.map(_ -> uri)
+          case _ => Nil
+        }
       }
-    }.toMap
-    val prior = PriorOutputs(
-      prelimAttr = corr1.map { case (k, v) => k -> v._1 },
-      rowCluster = clusters1,
-      rowInstance = rowInstance)
-    Iter1(corr1, clusters1, ents1, det1, prior)
-  }
-
-  /** Second iteration with the refined schema mapping. */
-  def runIteration2(pipe: Pipeline, cls: String, prior: PriorOutputs,
-                    attrModel2: AttributeMatcher.AttrModel, models: ClassModels,
-                    scoring: FusionScoring = Voting): ClassRun = {
-    import pipe.spark.implicits._
-    val feats2 = pipe.attrFeatures(Some(prior))
-    val corr2 = pipe.attrCorrespondences(feats2, attrModel2)
-    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 }).cache()
-    val (pf2, comps2) = pipe.pairStage(prof2)
-    val clusters2 = pipe.cluster(pf2, comps2,
-      models.clusterAgg, RowSimilarity.featureIndices(models.clusterMetrics))
-    val ents2 = pipe.entities(prof2, clusters2, scoring,
-                              fusionScores(pipe, corr2, scoring)).collect().toSeq
-    val det2 = pipe.detect(cls, ents2.toDS(), models.detectAgg,
-      EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)
-    ClassRun(cls, corr2, clusters2, ents2, det2, prof2.collect().toSeq)
-  }
+    }.toMap)
 
   /** Column weights for the configured fusion scoring approach. */
   def fusionScores(pipe: Pipeline, corr: Map[Long, (String, Double)],

@@ -41,13 +41,16 @@ object Values {
   private val months = Seq("jan", "feb", "mar", "apr", "may", "jun",
                            "jul", "aug", "sep", "oct", "nov", "dec")
 
-  /** Lowercase, trim, collapse whitespace, strip surrounding punctuation. */
+  /** Lowercase, collapse whitespace, strip surrounding control characters,
+    * whitespace and punctuation. Stripping both in one pass keeps the
+    * function idempotent: a quote cannot hide a space from the strip.
+    */
   def normalize(raw: String): String =
     if (raw == null) ""
-    else raw.toLowerCase.trim
+    else raw.toLowerCase
       .replaceAll("""[ ]""", " ")
       .replaceAll("""\s+""", " ")
-      .replaceAll("""^["'`\(\[]+|["'`\)\],\.]+$""", "")
+      .replaceAll("""^[\x00-\x20"'`\(\[]+|[\x00-\x20"'`\)\],\.]+$""", "")
 
   /** True when the string parses as a date under any accepted pattern. */
   def isDate(raw: String): Boolean = parseDate(raw).isDefined

@@ -23,7 +23,7 @@ object Experiment {
       corpus.cellsDF(spark).cache(), corpus.columnsDF(spark).cache(),
       Schemas.kbPropertyLabels)
     val gold: GoldStandard = corpus.gold
-    val schema: Map[String, repro.core.DataType] = kb.schemaByClass.values.flatten.toMap
+    val schema: Map[String, repro.core.DataType] = kb.propertyTypes
 
     /** Gold attribute annotations keyed by (tableId, colId). */
     val goldAttrMap: Map[(Long, Int), String] =
@@ -124,17 +124,30 @@ object Experiment {
     repro.core.ClassModels(clusterAgg, clusterMetrics, detectAgg, detectMetrics, tn, tm)
   }
 
+  /** Iteration 1 for a class on the context's memoized correspondences,
+    * profiles and pair stage.
+    */
+  def iteration1(ctx: Ctx, cls: String, models: repro.core.ClassModels,
+                 scoring: FusionScoring): repro.core.ClassRun = {
+    import ctx.spark.implicits._
+    PipelineRunner.runIteration(ctx.pipe, cls, ctx.corr1, ctx.profiles1(cls).toDS(),
+                                ctx.pairStage1(cls), models, scoring)
+  }
+
   /** Full two-iteration system run for one class: iteration 1 with the
     * iteration-1 attribute model, then learn the iteration-2 attribute model
     * (now including the duplicate-based matchers) on the gold annotations,
-    * then iteration 2.
+    * and match with it on the same features for iteration 2.
     */
   def fullRun(ctx: Ctx, cls: String, models: repro.core.ClassModels,
               scoring: FusionScoring = Voting): repro.core.ClassRun = {
-    val it1 = PipelineRunner.runIteration1(ctx.pipe, cls, ctx.attrModel1, models, scoring)
-    val feats2 = ctx.pipe.attrFeatures(Some(it1.prior))
+    val pipe = ctx.pipe
+    val prior = PipelineRunner.priorOf(Seq(iteration1(ctx, cls, models, scoring)))
+    val feats2 = pipe.attrFeatures(Some(prior))
     val attr2 = AttributeMatcher.learn(ctx.spark, feats2, ctx.goldAttrMap, ctx.gold.tableIds)
-    PipelineRunner.runIteration2(ctx.pipe, cls, it1.prior, attr2, models, scoring)
+    val corr2 = pipe.attrCorrespondences(feats2, attr2)
+    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 }).cache()
+    PipelineRunner.runIteration(pipe, cls, corr2, prof2, pipe.pairStage(prof2), models, scoring)
   }
 
   /** Combined importances (average of weighted-average weights and RF

@@ -47,6 +47,17 @@ class KnowledgeBase(val spark: SparkSession,
       c -> ps.map(p => p.property -> p.dataType).toMap
     }
 
+  /** Property -> data type over all classes (a property shared by several
+    * classes has the same type in each).
+    */
+  val propertyTypes: Map[String, DataType] = schemaByClass.values.flatten.toMap
+
+  /** Facts by instance: uri -> property -> value. The KB holds at most one
+    * fact per (uri, property).
+    */
+  lazy val factsByUri: Map[String, Map[String, String]] =
+    factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap }
+
   def propertiesOf(cls: String): Seq[String] =
     schema.filter(_.cls == cls).map(_.property)
 
@@ -54,15 +65,13 @@ class KnowledgeBase(val spark: SparkSession,
     * bag-of-words built from labels + facts, mirroring the paper's use of
     * labels, abstract and facts for the BOW entity metric).
     */
-  def localSnapshot(cls: String): Seq[KBInstanceLocal] = {
-    val factsByUri = factsSeq.groupBy(_.uri)
+  def localSnapshot(cls: String): Seq[KBInstanceLocal] =
     instancesSeq.filter(_.cls == cls).map { i =>
-      val fs  = factsByUri.getOrElse(i.uri, Nil).map(f => f.property -> f.value).toMap
+      val fs  = factsByUri.getOrElse(i.uri, Map.empty[String, String])
       val bow = ((i.label +: i.altLabels) ++ fs.values).flatMap(TextSim.tokenize).distinct
       KBInstanceLocal(i.uri, i.cls, i.parents, i.label +: i.altLabels,
                       i.popularity, fs, bow.sorted)
     }
-  }
 
   /** Label token index over ALL instances (all classes): normalized token ->
     * instance URIs. Substitute for the paper's Lucene index; used for

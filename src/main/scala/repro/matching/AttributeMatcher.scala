@@ -124,8 +124,7 @@ object AttributeMatcher {
       profilesB.value.get((cls, property)).map(p => overlapFit(p, raw)).getOrElse(0.0))
 
     // ---- KB-Duplicate: cell equals the KB fact of the row's instance -----
-    val factsByUriB = spark.sparkContext.broadcast(
-      kb.factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap })
+    val factsByUriB = spark.sparkContext.broadcast(kb.factsByUri)
     val rowInstanceB = spark.sparkContext.broadcast(prior.map(_.rowInstance).getOrElse(Map.empty[Long, String]))
     val kbDupUdf = udf((tableId: Long, rowId: Int, property: String, dtName: String, raw: String) => {
       val res = for {

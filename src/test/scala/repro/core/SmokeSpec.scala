@@ -1,10 +1,9 @@
 package repro.core
 
 import repro.{RunFingerprint, SparkSpec, TestWorld}
-import repro.clustering.RowSimilarity
 import repro.eval.{Experiment, Metrics}
 import repro.fusion.Voting
-import repro.newdetect.{DetectedNew, EntitySimilarity}
+import repro.newdetect.DetectedNew
 import repro.world.Schemas
 
 /** End-to-end smoke test: generate the world, run the full two-iteration
@@ -29,18 +28,13 @@ class SmokeSpec extends SparkSpec {
   }
 
   test("iteration 1 on the memoized stage outputs equals iteration 1 on fresh ones") {
-    import spark.implicits._
     val pipe = ctx.pipe
-    val fresh = PipelineRunner.runIteration1(pipe, cls, ctx.attrModel1, models)
-    val freshRun = ClassRun(cls, fresh.corr, fresh.clusters, fresh.entities, fresh.detections, Nil)
-    val (feats, comps) = ctx.pairStage1(cls)
-    val clusters = pipe.cluster(feats, comps, models.clusterAgg,
-                                RowSimilarity.featureIndices(models.clusterMetrics))
-    val entities = pipe.entities(ctx.profiles1(cls).toDS(), clusters, Voting, Map.empty).collect().toSeq
-    val detections = pipe.detect(cls, entities.toDS(), models.detectAgg,
-      EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)
-    val memoRun = ClassRun(cls, ctx.corr1, clusters, entities, detections, Nil)
-    assert(RunFingerprint.lines(memoRun) == RunFingerprint.lines(freshRun))
+    val memo = Experiment.iteration1(ctx, cls, models, Voting)
+    val profiles = pipe.profiles(cls, ctx.corr1.map { case (k, v) => k -> v._1 }).cache()
+    val fresh = PipelineRunner.runIteration(pipe, cls, ctx.corr1, profiles,
+                                            pipe.pairStage(profiles), models, Voting)
+    assert(RunFingerprint.lines(memo) == RunFingerprint.lines(fresh))
+    assert(memo.profiles.sortBy(_.rowKey) == fresh.profiles.sortBy(_.rowKey))
   }
 
   test("full pipeline run on GF-Player produces clusters, entities and detections") {

@@ -50,6 +50,18 @@ class KBSpec extends SparkSpec {
     assert(kb.schemaByClass(Schemas.Song)("runtime") == repro.core.DataType.Quantity)
   }
 
+  test("factsByUri holds every fact: at most one per (uri, property)") {
+    assert(kb.factsSeq.groupBy(f => (f.uri, f.property)).values.forall(_.size == 1))
+    assert(kb.factsByUri.values.map(_.size).sum == kb.factsSeq.size)
+    kb.factsSeq.take(50).foreach(f => assert(kb.factsByUri(f.uri)(f.property) == f.value))
+  }
+
+  test("propertyTypes flattens the class schemas") {
+    kb.schemaByClass.foreach { case (_, props) =>
+      props.foreach { case (p, dt) => assert(kb.propertyTypes(p) == dt) }
+    }
+  }
+
   test("localSnapshot carries labels, facts and a bag-of-words") {
     val snap = kb.localSnapshot(Schemas.Settlement)
     assert(snap.nonEmpty)
