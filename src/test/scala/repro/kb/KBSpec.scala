@@ -51,7 +51,7 @@ class KBSpec extends SparkSpec {
   }
 
   test("factsByUri holds every fact: at most one per (uri, property)") {
-    assert(kb.factsSeq.groupBy(f => (f.uri, f.property)).values.forall(_.size == 1))
+    // a second fact for a (uri, property) would collapse in the map
     assert(kb.factsByUri.values.map(_.size).sum == kb.factsSeq.size)
     kb.factsSeq.take(50).foreach(f => assert(kb.factsByUri(f.uri)(f.property) == f.value))
   }
