@@ -80,7 +80,7 @@ object GreedyClusterer {
     val assigned = rowsDS.groupByKey(_._1).cogroup(edgesDS.groupByKey(_._1)) {
       (_, rowIt, edgeIt) =>
         val rows = rowIt.map(_._2).toSeq.sorted
-        val es = edgeIt.map(_._2).toSeq
+        val es = edgeIt.map(_._2).toSeq.sortBy(e => (e.a, e.b))
         clusterComponent(rows, es).iterator
     }
     assigned.collect().toMap

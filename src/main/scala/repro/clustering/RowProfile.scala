@@ -1,6 +1,7 @@
 package repro.clustering
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{TextSim, Values}
 import repro.kb.KnowledgeBase
@@ -49,7 +50,10 @@ object RowProfiles {
       .groupBy($"tableId", $"rowId")
       .agg(collect_list(struct($"colId", $"raw")) as "cs")
       .as[(Long, Int, Seq[(Int, String)])]
-      .map { case (tableId, rowId, cs) =>
+      .map { case (tableId, rowId, unordered) =>
+        // In column order, so that of two columns mapped to one property the
+        // later one wins whatever order the cells were collected in.
+        val cs = unordered.sortBy(_._1)
         val labelCol = labelColB.value.getOrElse(tableId, 0)
         val label = cs.find(_._1 == labelCol).map(_._2).getOrElse("")
         val tokens = cs.flatMap(c => TextSim.tokenize(c._2)).distinct.sorted
@@ -64,8 +68,10 @@ object RowProfiles {
       }.toDF("rowKey", "tableId", "label", "normLabel", "tokens", "values", "valueCols")
 
     // ---- PHI: label correlation vectors, averaged per table ---------------
+    // Label ids follow the label text, not the partition layout: the PHI cap
+    // breaks ties on them.
     val labelIds = core.select($"normLabel").distinct()
-      .withColumn("labelId", monotonically_increasing_id())
+      .withColumn("labelId", dense_rank().over(Window.orderBy($"normLabel")).cast("long"))
     val tl = core.join(labelIds, "normLabel")
       .select($"tableId", $"labelId").distinct().cache()
     val nLabels = labelIds.count().toDouble
@@ -84,19 +90,21 @@ object RowProfiles {
       .join(na.withColumnRenamed("labelId", "l2").withColumnRenamed("na", "na2"), "l2")
       .withColumn("phi", phiOf($"nab", $"na1", $"na2"))
       .groupBy($"l1").agg(map_from_entries(collect_list(struct($"l2", $"phi"))) as "vec")
-    // collect_list drops null vectors (labels without co-occurrences); the
-    // denominator stays the table's label count, as the paper averages the
-    // vectors of all row labels.
-    val avgVecs = udf((vecs: Seq[Map[Long, Double]], nLabels: Long) => {
+    // Vectors are summed in labelId order, so the floating-point sums do not
+    // depend on collect order. Labels without co-occurrences carry a null
+    // vector; the denominator stays the table's label count, as the paper
+    // averages the vectors of all row labels.
+    val avgVecs = udf((vecs: Seq[Row], nLabels: Long) => {
       val acc = scala.collection.mutable.Map.empty[Long, Double]
-      vecs.foreach(_.foreach { case (k, v) => acc(k) = acc.getOrElse(k, 0.0) + v })
+      vecs.sortBy(_.getLong(0)).flatMap(v => Option(v.getMap[Long, Double](1))).foreach(
+        _.foreach { case (k, v) => acc(k) = acc.getOrElse(k, 0.0) + v })
       val m = math.max(1L, nLabels).toDouble
       acc.toSeq.map { case (k, v) => k -> v / m }
         .sortBy { case (k, v) => (-math.abs(v), k) }.take(phiCap).toMap
     })
     val tablePhi = tl.join(labelVecs, tl("labelId") === labelVecs("l1"), "left")
       .groupBy($"tableId")
-      .agg(count(lit(1)) as "nLabels", collect_list($"vec") as "vecs")
+      .agg(count(lit(1)) as "nLabels", collect_list(struct($"labelId", $"vec")) as "vecs")
       .select($"tableId", avgVecs($"vecs", $"nLabels") as "phi")
 
     // ---- implicit attributes per table ------------------------------------
@@ -117,7 +125,9 @@ object RowProfiles {
       .withColumn("score", $"cnt" / $"nRows")
       .filter($"score" >= implicitThreshold)
       .groupBy($"tableId")
-      .agg(map_from_entries(collect_list(struct($"combo", $"score"))) as "implicitAtts")
+      // Sorted: RowSimilarity's IMPLICIT_ATT takes the first key with a
+      // property's prefix, and small Scala maps keep insertion order.
+      .agg(map_from_entries(sort_array(collect_list(struct($"combo", $"score")))) as "implicitAtts")
 
     core
       .join(tablePhi, Seq("tableId"), "left")

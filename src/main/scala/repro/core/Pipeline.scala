@@ -93,10 +93,10 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
           prop <- attrB.value.get(Keys.colKey(t, c))
           fact <- factsByUriB.value.get(uri).flatMap(_.get(prop))
           dt   <- schemaB.value.get(prop)
-        } yield (Keys.colKey(t, c), if (TypeSim.equal(dt, raw, fact)) 1.0 else 0.0)
+        } yield (Keys.colKey(t, c), TypeSim.equal(dt, raw, fact))
       }
       .groupByKey(_._1).mapGroups { (ck, it) =>
-        val xs = it.map(_._2).toSeq; (ck, xs.sum / xs.size)
+        val xs = it.map(_._2).toSeq; (ck, xs.count(identity).toDouble / xs.size)
       }.collect().toMap
   }
 

@@ -67,13 +67,15 @@ object Experiment {
       })
 
     /** Iteration-1 pair features restricted to gold rows (collected — this
-      * is the learning input and stays small).
+      * is the learning input and stays small), sorted by pair, as learning
+      * depends on example order.
       */
     def goldPairs1(cls: String): Seq[PairFeature] =
       goldPairCache.getOrElseUpdate(cls, {
         val (pf, _) = pairStage1(cls)
         val goldRows = goldRowCluster.keySet
         pf.filter(p => goldRows.contains(p.a) && goldRows.contains(p.b)).collect().toSeq
+          .sortBy(p => (p.a, p.b))
       })
 
     /** 3-fold split of gold clusters (homonym-aware). */

@@ -226,7 +226,9 @@ object AttributeMatcher {
   def learn(spark: SparkSession, feats: DataFrame,
             goldAttrs: Map[(Long, Int), String],
             learnTables: Set[Long]): AttrModel = {
+    // Sorted by (column, property): the GA depends on example order.
     val rows = feats.collect().filter(r => learnTables.contains(r.getLong(0)))
+      .sortBy(r => (r.getLong(0), r.getInt(1), r.getString(3)))
     val byCls = rows.groupBy(_.getString(2))
     val weights = byCls.map { case (cls, rs) =>
       val features = rs.map(r => Array(r.getDouble(4), r.getDouble(5), r.getDouble(6), r.getDouble(7), r.getDouble(8)))
