@@ -3,7 +3,7 @@ package repro.clustering
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{TextSim, Values}
+import repro.core.{Pipeline, TextSim, Values}
 import repro.kb.KnowledgeBase
 import repro.matching.Keys
 
@@ -72,8 +72,8 @@ object RowProfiles {
     // breaks ties on them.
     val labelIds = core.select($"normLabel").distinct()
       .withColumn("labelId", dense_rank().over(Window.orderBy($"normLabel")).cast("long"))
-    val tl = core.join(labelIds, "normLabel")
-      .select($"tableId", $"labelId").distinct().cache()
+    val tl = Pipeline.materialize(core.join(labelIds, "normLabel")
+      .select($"tableId", $"labelId").distinct())
     val nLabels = labelIds.count().toDouble
     val na = tl.groupBy($"labelId").agg(count(lit(1)) as "na")
     val pairs = tl.as("x").join(tl.as("y"), col("x.tableId") === col("y.tableId"))

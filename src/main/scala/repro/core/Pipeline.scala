@@ -17,16 +17,18 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
                val cells: DataFrame, val columns: DataFrame,
                val propertyLabels: Map[String, Seq[String]]) {
   import spark.implicits._
+  import Pipeline.materialize
 
-  // localCheckpoint at every stage boundary: the pipeline stacks many joins
-  // and self-joins, and without truncating lineage Catalyst re-analyzes (and
-  // stringifies) an exponentially growing plan on every downstream action.
-  lazy val detectedTypes: DataFrame = TypeDetector.detect(spark, cells).localCheckpoint()
+  // Every stage output goes through Pipeline.materialize.
+  lazy val detectedTypes: DataFrame = materialize(TypeDetector.detect(spark, cells))
   lazy val labelCols: DataFrame =
-    LabelAttributeDetector.detect(spark, cells, detectedTypes).localCheckpoint()
+    materialize(LabelAttributeDetector.detect(spark, cells, detectedTypes))
+  /** Table classes and row candidates; the matcher materializes the
+    * candidates itself, as it scores classes on them.
+    */
   lazy val tableClassAndCands: (DataFrame, DataFrame) = {
     val (tc, cands) = TableClassMatcher.matchClasses(spark, cells, labelCols, kb)
-    (tc.localCheckpoint(), cands.localCheckpoint())
+    (materialize(tc), cands)
   }
   def tableClass: DataFrame = tableClassAndCands._1
   def rowCands: DataFrame = tableClassAndCands._2
@@ -37,8 +39,8 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
 
   /** Attribute matcher features for a given iteration's prior outputs. */
   def attrFeatures(prior: Option[PriorOutputs]): DataFrame =
-    AttributeMatcher.features(spark, cells, columns, detectedTypes, labelCols,
-                              tableClass, kb, propertyLabels, prior).localCheckpoint()
+    materialize(AttributeMatcher.features(spark, cells, columns, detectedTypes, labelCols,
+                                          tableClass, kb, propertyLabels, prior))
 
   /** Iteration-1 features are prior-free and shared across folds/classes. */
   lazy val attrFeatures1: DataFrame = attrFeatures(None)
@@ -51,16 +53,16 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
 
   /** Row profiles for one class under a given attribute mapping. */
   def profiles(cls: String, attrCorr: Map[Long, String]): Dataset[RowProfile] =
-    RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr,
-                      rowCands, kb).localCheckpoint()
+    materialize(RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr,
+                                  rowCands, kb))
 
   /** Blocking, pair features, components for one class's profiles. */
   def pairStage(profilesDS: Dataset[RowProfile]):
       (Dataset[PairFeature], Map[Long, Long]) = {
     val profDF = profilesDS.toDF()
-    val blocks = Blocking.rowBlocks(spark, profDF).localCheckpoint()
+    val blocks = materialize(Blocking.rowBlocks(spark, profDF))
     val pairs = Blocking.candidatePairs(spark, blocks)
-    val feats = PairFeatures.compute(spark, profilesDS, pairs, kb.propertyTypes).localCheckpoint()
+    val feats = materialize(PairFeatures.compute(spark, profilesDS, pairs, kb.propertyTypes))
     val blockSeq = blocks.collect().map(r => (r.getLong(0), r.getString(1))).toSeq
     val allRows = profDF.select($"rowKey").as[Long].collect().toSeq
     val comps = Blocking.components(blockSeq, allRows)
@@ -133,6 +135,21 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
       }.toSeq
       related.flatMap(kb.localSnapshot).toIndexedSeq
     })
+}
+
+object Pipeline {
+
+  /** Materializes a stage output: one partition per core, checkpointed
+    * locally. The stages stack many joins and self-joins, and without cutting
+    * the lineage Catalyst re-analyzes an ever larger plan on every later
+    * action. AQE does not coalesce the last stage of a checkpointed plan, so
+    * without the coalesce the output keeps spark.sql.shuffle.partitions
+    * partitions of a few rows each, and every later scan of it runs that many
+    * tasks. Stage outputs hold thousands of rows, not millions: task
+    * overhead, not data, sets their cost.
+    */
+  def materialize[T](ds: Dataset[T]): Dataset[T] =
+    ds.coalesce(ds.sparkSession.sparkContext.defaultParallelism).localCheckpoint()
 }
 
 /** Models learned for one class (aggregators for clustering and detection,

@@ -148,7 +148,7 @@ object Experiment {
     val feats2 = pipe.attrFeatures(Some(prior))
     val attr2 = AttributeMatcher.learn(ctx.spark, feats2, ctx.goldAttrMap, ctx.gold.tableIds)
     val corr2 = pipe.attrCorrespondences(feats2, attr2)
-    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 }).cache()
+    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 })
     PipelineRunner.runIteration(pipe, cls, corr2, prof2, pipe.pairStage(prof2), models, scoring)
   }
 

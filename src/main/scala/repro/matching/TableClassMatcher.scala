@@ -3,7 +3,7 @@ package repro.matching
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
-import repro.core.{DataType, TextSim, TypeSim, Values}
+import repro.core.{DataType, Pipeline, TextSim, TypeSim, Values}
 import repro.kb.KnowledgeBase
 
 /** Table-to-class matching (paper Section 3.1, after Ritze et al.):
@@ -77,7 +77,7 @@ object TableClassMatcher {
   def matchClasses(spark: SparkSession, cells: DataFrame, labelCols: DataFrame,
                    kb: KnowledgeBase): (DataFrame, DataFrame) = {
     val labels = rowLabels(cells, labelCols)
-    val cands  = rowCandidates(spark, labels, kb).cache()
+    val cands  = Pipeline.materialize(rowCandidates(spark, labels, kb))
 
     // (1) row-candidate score per class
     val rowScore = cands.groupBy(col("tableId"), col("cls"))

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{RunFingerprint, SparkSpec}
+import repro.{RunFingerprint, SparkSpec, TestWorld}
 import repro.eval.Experiment
 import repro.fusion.Voting
 import repro.world.{CorpusConfig, Schemas, SynthCorpus, SynthWorld, WorldConfig}
@@ -31,6 +31,25 @@ class PartitionSpec extends SparkSpec {
       val lines = run(n)
       val same = lines == reference
       assert(same, s"${(lines.toSet diff reference.toSet).size} of ${lines.size} lines differ at $n partitions vs 1")
+    }
+  }
+
+  test("every stage output has at most one partition per core") {
+    val ctx = TestWorld.ctx
+    val pipe = ctx.pipe
+    val cls = Schemas.GFPlayer
+    val outputs = Seq(
+      "types" -> pipe.detectedTypes,
+      "label columns" -> pipe.labelCols,
+      "table class" -> pipe.tableClass,
+      "candidates" -> pipe.rowCands,
+      "attrFeatures1" -> pipe.attrFeatures1,
+      "profiles" -> pipe.profiles(cls, ctx.corr1.map { case (k, v) => k -> v._1 }).toDF(),
+      "pair features" -> ctx.pairStage1(cls)._1.toDF())
+    val cores = spark.sparkContext.defaultParallelism
+    outputs.foreach { case (name, df) =>
+      val n = df.rdd.getNumPartitions
+      assert(n <= cores, s"$name has $n partitions, $cores cores")
     }
   }
 }

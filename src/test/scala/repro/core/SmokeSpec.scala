@@ -30,7 +30,7 @@ class SmokeSpec extends SparkSpec {
   test("iteration 1 on the memoized stage outputs equals iteration 1 on fresh ones") {
     val pipe = ctx.pipe
     val memo = Experiment.iteration1(ctx, cls, models, Voting)
-    val profiles = pipe.profiles(cls, ctx.corr1.map { case (k, v) => k -> v._1 }).cache()
+    val profiles = pipe.profiles(cls, ctx.corr1.map { case (k, v) => k -> v._1 })
     val fresh = PipelineRunner.runIteration(pipe, cls, ctx.corr1, profiles,
                                             pipe.pairStage(profiles), models, Voting)
     assert(RunFingerprint.lines(memo) == RunFingerprint.lines(fresh))
