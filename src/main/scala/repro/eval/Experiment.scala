@@ -18,6 +18,8 @@ object Experiment {
 
   /** One generated setup with memoized stage outputs. */
   class Ctx(val spark: SparkSession, val world: World, val corpus: Corpus) {
+    Keys.requirePackable(corpus.cells.map(_.rowId),
+                         corpus.columns.map(_.colId) ++ corpus.cells.map(_.colId))
     val kb: KnowledgeBase = world.knowledgeBase(spark)
     val pipe: Pipeline = new Pipeline(spark, kb,
       corpus.cellsDF(spark).cache(), corpus.columnsDF(spark).cache(),

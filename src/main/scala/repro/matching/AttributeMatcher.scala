@@ -9,9 +9,25 @@ import repro.learn.Genetic
 
 /** Compact row/column keys used across pipeline stages. */
 object Keys {
-  def rowKey(tableId: Long, rowId: Int): Long = tableId * 100000L + rowId
-  def colKey(tableId: Long, colId: Int): Long = tableId * 1000L + colId
-  def tableOfRow(rowKey: Long): Long = rowKey / 100000L
+  /** Row and column ids per table that the keys can pack. */
+  val RowsPerTable = 100000L
+  val ColsPerTable = 1000L
+
+  def rowKey(tableId: Long, rowId: Int): Long = tableId * RowsPerTable + rowId
+  def colKey(tableId: Long, colId: Int): Long = tableId * ColsPerTable + colId
+  def tableOfRow(rowKey: Long): Long = rowKey / RowsPerTable
+
+  /** Rejects ids outside the packable ranges: such a row or column would
+    * share its key with one of another table.
+    */
+  def requirePackable(rowIds: Iterable[Int], colIds: Iterable[Int]): Unit = {
+    rowIds.find(r => r < 0 || r >= RowsPerTable).foreach { r =>
+      throw new IllegalArgumentException(s"row id $r outside [0, $RowsPerTable): row keys would collide")
+    }
+    colIds.find(c => c < 0 || c >= ColsPerTable).foreach { c =>
+      throw new IllegalArgumentException(s"column id $c outside [0, $ColsPerTable): column keys would collide")
+    }
+  }
 }
 
 /** Outputs of a previous pipeline iteration used to refine the schema

@@ -3,7 +3,8 @@ package repro.matching
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestWorld}
 import repro.core.DataType
-import repro.world.Schemas
+import repro.eval.Experiment
+import repro.world.{Schemas, TableCellRec}
 
 /** Integration tests for the schema-matching stages over the shared test
   * world: data-type detection, label attribute detection, table-to-class
@@ -109,5 +110,21 @@ class MatchingSpec extends SparkSpec {
     assert(Keys.rowKey(42L, 7) == 4200007L)
     assert(Keys.tableOfRow(Keys.rowKey(42L, 7)) == 42L)
     assert(Keys.colKey(42L, 3) == 42003L)
+  }
+
+  private def oversized(cell: TableCellRec => TableCellRec): IllegalArgumentException = {
+    val corpus = ctx.corpus
+    val bad = corpus.copy(cells = corpus.cells :+ cell(corpus.cells.head))
+    intercept[IllegalArgumentException](new Experiment.Ctx(spark, ctx.world, bad))
+  }
+
+  test("a corpus with a row id past the row-key range is rejected") {
+    val e = oversized(_.copy(rowId = Keys.RowsPerTable.toInt))
+    assert(e.getMessage.startsWith("row id 100000 "))
+  }
+
+  test("a corpus with a column id past the column-key range is rejected") {
+    val e = oversized(_.copy(colId = Keys.ColsPerTable.toInt))
+    assert(e.getMessage.startsWith("column id 1000 "))
   }
 }
