@@ -39,7 +39,9 @@ object Blocking {
     val prefixDf = prefixBlocks.groupBy($"block").agg(count(lit(1)) as "df")
     val keptPrefixes = prefixBlocks.join(prefixDf.filter($"df" <= maxTokenDf), "block")
       .select($"rowKey", $"block")
-    keptTokens.union(keptLabels).union(keptPrefixes).distinct()
+    // Each kind is free of duplicates, and tokens hold no ':', so the kinds
+    // are disjoint: the union needs no distinct, and no shuffle of its own.
+    keptTokens.union(keptLabels).union(keptPrefixes)
   }
 
   /** Candidate row pairs (a < b) sharing at least one block. */
