@@ -94,7 +94,7 @@ class Table04CorpusMatchBench extends SparkSpec {
 
     val rows = BenchWorld.classes.map { cls =>
       val clsTables = predicted.filter(_._2 == cls).keySet
-      val matchedTables = clsTables.filter(t => matchedCols.exists(_ / 1000L == t))
+      val matchedTables = clsTables.filter(t => matchedCols.exists(repro.matching.Keys.colOf(_)._1 == t))
       var vMatched = 0L; var vUnmatched = 0L
       ctx.corpus.cells.foreach { c =>
         val ck = repro.matching.Keys.colKey(c.tableId, c.colId)

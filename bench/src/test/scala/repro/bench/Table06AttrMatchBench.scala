@@ -18,7 +18,7 @@ class Table06AttrMatchBench extends SparkSpec {
                         learnTables: Set[Long], testTables: Set[Long]): (Double, Double, Double) = {
     val model = AttributeMatcher.learn(spark, feats, ctx.goldAttrMap, learnTables)
     val corr = ctx.pipe.attrCorrespondences(feats, model)
-    val predicted = corr.toSeq.map { case (ck, (p, _)) => ((ck / 1000L, (ck % 1000L).toInt), p) }
+    val predicted = corr.toSeq.map { case (ck, (p, _)) => (Keys.colOf(ck), p) }
     AttributeMatcher.evaluate(predicted, ctx.goldAttrMap, testTables)
   }
 

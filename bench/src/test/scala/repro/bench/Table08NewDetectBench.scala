@@ -21,29 +21,20 @@ class Table08NewDetectBench extends SparkSpec {
 
     BenchWorld.classes.foreach { cls =>
       val allClusters = ctx.goldClustersOf(cls).map(_.entityId).toSet
-      val entities = Experiment.goldEntities(ctx, cls, allClusters)
-      val snapshot = ctx.pipe.detectSnapshot(cls)
-      val idx = NewDetector.tokenIndex(snapshot)
-      val candCache = entities.map { e =>
-        e.entityKey -> NewDetector.candidateFeatures(e, idx, snapshot, ctx.schema, ctx.kb.classParents)
-      }.toMap
+      val selector = ctx.pipe.selector(cls)
+      val cands = Experiment.goldEntities(ctx, cls, allClusters)
+        .map(e => e.entityKey -> selector.features(e))
 
       (0 until 3).foreach { fold =>
         val testClusters = BenchWorld.testFoldClusters(cls, fold)
         val learnClusters = allClusters -- testClusters
-        val truth: Map[Long, Option[String]] = allClusters.toSeq.map { gid =>
-          val c = ctx.gold.clusterById(gid)
-          gid -> (if (c.isNew) None else Some(c.uri))
-        }.toMap
+        val truth = learnClusters.map(gid => gid -> ctx.gold.clusterById(gid).instance).toMap
 
         stacks.zipWithIndex.foreach { case (stack, si) =>
-          val learnEnts = entities.filter(e => learnClusters.contains(e.entityKey))
           val (agg, fi, tn, tm) = PipelineRunner.learnDetect(
-            ctx.pipe, cls, learnEnts, truth.filter(t => learnClusters.contains(t._1)),
-            stack, seed = 11 + fold)
-          val testResults = entities.filter(e => testClusters.contains(e.entityKey)).map { e =>
-            val scored = candCache(e.entityKey).map { case (u, f) => (u, agg.normScore(fi.map(f))) }
-            e.entityKey -> NewDetector.detectionFor(scored, tn, tm)
+            cands.filter(c => learnClusters.contains(c._1)), truth, stack, seed = 11 + fold)
+          val testResults = cands.filter(c => testClusters.contains(c._1)).map { case (k, fs) =>
+            k -> NewDetector.detect(fs, agg, fi, tn, tm)
           }
           results.getOrElseUpdate(si, scala.collection.mutable.ArrayBuffer.empty) +=
             Metrics.detectionEval(testResults, ctx.gold)

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.eval.{Experiment, Metrics}
-import repro.newdetect.NewDetector
+import repro.newdetect.{EntitySimilarity, NewDetector}
 
 /** Paper Table 9: new-instances-found evaluation — precision/recall/F1 per
   * class, once with gold-standard (GS) clustering and once with the full
@@ -18,11 +18,8 @@ class Table09NewInstancesBench extends SparkSpec {
     BenchWorld.classes.foreach { cls =>
       val allClusters = ctx.goldClustersOf(cls).map(_.entityId).toSet
       val gsEntities = Experiment.goldEntities(ctx, cls, allClusters)
-      val snapshot = ctx.pipe.detectSnapshot(cls)
-      val idx = NewDetector.tokenIndex(snapshot)
-      val candCache = gsEntities.map { e =>
-        e.entityKey -> NewDetector.candidateFeatures(e, idx, snapshot, ctx.schema, ctx.kb.classParents)
-      }.toMap
+      val selector = ctx.pipe.selector(cls)
+      val cands = gsEntities.map(e => e.entityKey -> selector.features(e))
 
       val gsResults = scala.collection.mutable.ArrayBuffer.empty[Metrics.PRF]
       val allResults = scala.collection.mutable.ArrayBuffer.empty[Metrics.PRF]
@@ -31,11 +28,9 @@ class Table09NewInstancesBench extends SparkSpec {
         val models = BenchWorld.foldModels(cls, fold)
 
         // GS clustering: entities directly from gold clusters
-        val fiD = repro.newdetect.EntitySimilarity.featureIndices(models.detectMetrics)
-        val gsDetections = gsEntities.map { e =>
-          val scored = candCache(e.entityKey).map { case (u, f) =>
-            (u, models.detectAgg.normScore(fiD.map(f))) }
-          e.entityKey -> NewDetector.detectionFor(scored, models.tNew, models.tMatch)
+        val fiD = EntitySimilarity.featureIndices(models.detectMetrics)
+        val gsDetections = cands.map { case (k, fs) =>
+          k -> NewDetector.detect(fs, models.detectAgg, fiD, models.tNew, models.tMatch)
         }.toMap
         gsResults += Metrics.newInstancesFound(gsEntities, gsDetections,
           ctx.rowGoldAll, ctx.gold, testClusters)

@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core.PipelineRunner
 import repro.eval.{Experiment, Metrics}
 import repro.fusion.{EntityCreation, FusionScoring, KBT, Matching, Voting}
-import repro.newdetect.{DetectedExisting, DetectedNew, Detection, NewDetector}
+import repro.newdetect.{DetectedExisting, DetectedNew, Detection, EntitySimilarity, NewDetector}
 
 /** Paper Table 10: facts-found evaluation. Three run configurations —
   * gold clustering + gold detection, gold clustering + learned detection,
@@ -32,22 +32,19 @@ class Table10FactsBench extends SparkSpec {
       val gsEnts = scorings.map { case (name, s) =>
         name -> Experiment.goldEntities(ctx, cls, allClusters, s, scores1(name))
       }.toMap
-      val perfect: Map[Long, Detection] = allClusters.toSeq.map { gid =>
-        val c = ctx.gold.clusterById(gid)
-        gid -> (if (c.isNew) (DetectedNew: Detection) else DetectedExisting(c.uri, 1.0))
+      val perfect: Map[Long, Detection] = allClusters.map { gid =>
+        gid -> ctx.gold.clusterById(gid).instance.fold[Detection](DetectedNew)(DetectedExisting(_, 1.0))
       }.toMap
-      val snapshot = ctx.pipe.detectSnapshot(cls)
-      val idx = NewDetector.tokenIndex(snapshot)
+      val selector = ctx.pipe.selector(cls)
 
       (0 until 3).foreach { fold =>
         val testClusters = BenchWorld.testFoldClusters(cls, fold)
         val models = BenchWorld.foldModels(cls, fold)
-        val fiD = repro.newdetect.EntitySimilarity.featureIndices(models.detectMetrics)
+        val fiD = EntitySimilarity.featureIndices(models.detectMetrics)
         def detectLocal(ents: Seq[repro.fusion.Entity]): Map[Long, Detection] =
           ents.map { e =>
-            val scored = NewDetector.candidateFeatures(e, idx, snapshot, ctx.schema, ctx.kb.classParents)
-              .map { case (u, f) => (u, models.detectAgg.normScore(fiD.map(f))) }
-            e.entityKey -> NewDetector.detectionFor(scored, models.tNew, models.tMatch)
+            e.entityKey -> NewDetector.detect(selector.features(e), models.detectAgg, fiD,
+                                              models.tNew, models.tMatch)
           }.toMap
 
         scorings.foreach { case (name, s) =>

@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.eval.Metrics
-import repro.matching.Keys
 
 /** Paper Table 11: large-scale profiling — run the full system on every
   * table matched to a class and judge the returned entities against the
@@ -13,11 +12,6 @@ class Table11LargeScaleBench extends SparkSpec {
 
   test("Table 11: large-scale run per class") {
     val ctx = BenchWorld.ctx
-    val rowTruthEntity = ctx.corpus.rowTruth
-      .map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
-    val predicted = ctx.pipe.tableClass.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
-    val rowsPerTable = ctx.corpus.cells.groupBy(_.tableId)
-      .map { case (t, cs) => t -> cs.map(_.rowId).distinct.size.toLong }
 
     val kbCounts = BenchWorld.classes.map { cls =>
       val insts = ctx.kb.instancesSeq.count(_.cls == cls)
@@ -32,9 +26,8 @@ class Table11LargeScaleBench extends SparkSpec {
 
     val measured = BenchWorld.classes.map { cls =>
       val run = BenchWorld.fullRunAllGold(cls)
-      val totalRows = predicted.filter(_._2 == cls).keys.toSeq.map(t => rowsPerTable.getOrElse(t, 0L)).sum
-      val ls = Metrics.largeScale(run.entities, run.detections, rowTruthEntity,
-        ctx.world, totalRows, ctx.schema)
+      val ls = Metrics.largeScale(run.entities, run.detections, ctx.rowTruthEntity,
+        ctx.world, ctx.classRows(cls), ctx.schema)
       (cls, ls)
     }
 

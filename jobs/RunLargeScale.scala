@@ -1,7 +1,6 @@
 package jobs
 
 import repro.eval.{Experiment, Metrics}
-import repro.matching.Keys
 import repro.world.Schemas
 
 /** spark-submit entrypoint: large-scale profiling run (paper Tables 11/12)
@@ -17,14 +16,8 @@ object RunLargeScale {
     val models = Experiment.learnFold(ctx, cls, all)
     val run = Experiment.fullRun(ctx, cls, models)
 
-    val rowTruthEntity = ctx.corpus.rowTruth
-      .map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
-    val predicted = ctx.pipe.tableClass.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
-    val rowsPerTable = ctx.corpus.cells.groupBy(_.tableId)
-      .map { case (t, cs) => t -> cs.map(_.rowId).distinct.size.toLong }
-    val totalRows = predicted.filter(_._2 == cls).keys.toSeq.map(t => rowsPerTable.getOrElse(t, 0L)).sum
-    val ls = Metrics.largeScale(run.entities, run.detections, rowTruthEntity,
-      ctx.world, totalRows, ctx.schema)
+    val ls = Metrics.largeScale(run.entities, run.detections, ctx.rowTruthEntity,
+      ctx.world, ctx.classRows(cls), ctx.schema)
     println(s"[Table 11] $cls rows=${ls.totalRows} existing=${ls.existingEntities} " +
             s"matchedKB=${ls.matchedInstances} ratio=${ls.matchingRatio} " +
             s"new=${ls.newEntities} newFacts=${ls.newFacts} " +

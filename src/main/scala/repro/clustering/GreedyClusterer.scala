@@ -21,29 +21,16 @@ object PairFeatures {
               schema: Map[String, DataType]): Dataset[PairFeature] = {
     import spark.implicits._
     val schemaB = spark.sparkContext.broadcast(schema)
-    val pa = profiles.toDF().withColumnRenamed("rowKey", "a")
-    val pb = profiles.toDF().withColumnRenamed("rowKey", "b")
-    pairs
-      .join(pa.select($"a", struct(pa.columns.filter(_ != "a").map(col): _*) as "pa"), "a")
-      .join(pb.select($"b", struct(pb.columns.filter(_ != "b").map(col): _*) as "pb"), "b")
+    val profDF = profiles.toDF()
+    def side(key: String) =
+      profDF.select($"rowKey" as key, struct(profDF.columns.map(col): _*) as s"p$key")
+    pairs.join(side("a"), "a").join(side("b"), "b")
       .select($"a", $"b", $"pa", $"pb")
-      .as[(Long, Long, ProfileStruct, ProfileStruct)]
-      .map { case (a, b, sa, sb) =>
-        PairFeature(a, b,
-          RowSimilarity.features(sa.toProfile(a), sb.toProfile(b), schemaB.value).toSeq)
+      .as[(Long, Long, RowProfile, RowProfile)]
+      .map { case (a, b, pa, pb) =>
+        PairFeature(a, b, RowSimilarity.features(pa, pb, schemaB.value).toSeq)
       }
   }
-}
-
-/** Row-profile payload as carried through the pair join (rowKey is on the
-  * outer record).
-  */
-case class ProfileStruct(tableId: Long, cls: String, label: String, normLabel: String,
-                         tokens: Seq[String], phi: Map[Long, Double],
-                         values: Map[String, String], valueCols: Map[String, Long],
-                         implicitAtts: Map[String, Double]) {
-  def toProfile(rowKey: Long): RowProfile =
-    RowProfile(rowKey, tableId, cls, label, normLabel, tokens, phi, values, valueCols, implicitAtts)
 }
 
 /** Correlation clustering (paper Section 3.2): a parallelized greedy pass —

@@ -111,30 +111,31 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
   /** New detection for one class; returns entityKey -> Detection. */
   def detect(cls: String, ents: Dataset[Entity], agg: Aggregator, featIdx: Array[Int],
              tNew: Double, tMatch: Double): Map[Long, Detection] = {
-    val snapshot = detectSnapshot(cls)
-    val idx = NewDetector.tokenIndex(snapshot)
-    NewDetector.classify(spark, ents, idx, snapshot, kb.propertyTypes, kb.classParents,
-                         agg, featIdx, tNew, tMatch)
-      .collect().map {
-        case (k, "", _)  => k -> (DetectedNew: Detection)
-        case (k, "?", _) => k -> (Undecided: Detection)
-        case (k, u, s)   => k -> (DetectedExisting(u, s): Detection)
-      }.toMap
+    val selB = spark.sparkContext.broadcast(selector(cls))
+    ents.rdd.map { e =>
+      e.entityKey -> NewDetector.detect(selB.value.features(e), agg, featIdx, tNew, tMatch)
+    }.collect().toMap
   }
 
-  private val snapshotCache = scala.collection.mutable.Map.empty[String, IndexedSeq[KBInstanceLocal]]
+  private val selectors = scala.collection.mutable.Map.empty[String, CandidateSelector]
+  /** The class's candidate selector over [[detectSnapshot]], built once per
+    * class.
+    */
+  def selector(cls: String): CandidateSelector =
+    selectors.getOrElseUpdate(cls,
+      new CandidateSelector(detectSnapshot(cls), kb.propertyTypes, kb.classParents))
+
   /** Candidate instances for new detection: the entity's class plus sibling
     * classes sharing a parent (the paper requires candidates to be "of the
     * class of the created entity or share one parent class").
     */
-  def detectSnapshot(cls: String): IndexedSeq[KBInstanceLocal] =
-    snapshotCache.getOrElseUpdate(cls, {
-      val parents = kb.classParents.getOrElse(cls, Nil).toSet
-      val related = kb.classParents.collect {
-        case (c, ps) if c == cls || ps.exists(parents.contains) => c
-      }.toSeq
-      related.flatMap(kb.localSnapshot).toIndexedSeq
-    })
+  def detectSnapshot(cls: String): IndexedSeq[KBInstanceLocal] = {
+    val parents = kb.classParents.getOrElse(cls, Nil).toSet
+    val related = kb.classParents.collect {
+      case (c, ps) if c == cls || ps.exists(parents.contains) => c
+    }.toSeq
+    related.flatMap(kb.localSnapshot).toIndexedSeq
+  }
 }
 
 object Pipeline {
@@ -187,31 +188,28 @@ object PipelineRunner {
   def learnDetect(pipe: Pipeline, cls: String, ents: Seq[Entity],
                   truth: Map[Long, Option[String]], metrics: Seq[String],
                   seed: Long): (CombinedAgg, Array[Int], Double, Double) = {
+    val selector = pipe.selector(cls)
+    learnDetect(ents.map(e => e.entityKey -> selector.features(e)), truth, metrics, seed)
+  }
+
+  /** Learn the new-detection aggregator + thresholds from the candidate
+    * features of gold entities (entityKey -> features, in entity order, as
+    * learning depends on example order). Entities without a truth entry are
+    * skipped.
+    */
+  def learnDetect(cands: Seq[(Long, Seq[(String, Array[Double])])],
+                  truth: Map[Long, Option[String]], metrics: Seq[String],
+                  seed: Long): (CombinedAgg, Array[Int], Double, Double) = {
     val fi = EntitySimilarity.featureIndices(metrics)
     val si = EntitySimilarity.scoreIndices(metrics)
     val siWithin = si.map(fi.indexOf(_))
-    val snapshot = pipe.detectSnapshot(cls)
-    val idx = NewDetector.tokenIndex(snapshot)
-    val cands = ents.map { e =>
-      e.entityKey -> NewDetector.candidateFeatures(e, idx, snapshot, pipe.kb.propertyTypes,
-                                                   pipe.kb.classParents)
-    }.toMap
-    val x = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    val y = scala.collection.mutable.ArrayBuffer.empty[Boolean]
-    ents.foreach { e =>
-      truth.get(e.entityKey).foreach { t =>
-        cands(e.entityKey).foreach { case (uri, f) =>
-          x += fi.map(f); y += t.contains(uri)
-        }
-      }
-    }
+    val learn = cands.flatMap { case (k, fs) => truth.get(k).map(t => (k, fs, t)) }
+    val x = learn.flatMap { case (_, fs, _) => fs.map { case (_, f) => fi.map(f) } }
+    val y = learn.flatMap { case (_, fs, t) => fs.map { case (uri, _) => t.contains(uri) } }
     val (_, _, agg) = Aggregators.train(x.toArray, y.toArray, siWithin, seed)
-    val learnSet = ents.flatMap { e =>
-      truth.get(e.entityKey).map { t =>
-        (e.entityKey, cands(e.entityKey).map { case (u, f) => (u, agg.normScore(fi.map(f))) }, t)
-      }
-    }
-    val (tn, tm) = NewDetector.learnThresholds(learnSet)
+    val (tn, tm) = NewDetector.learnThresholds(learn.map { case (k, fs, t) =>
+      (k, NewDetector.scores(fs, agg, fi), t)
+    })
     (agg, fi, tn, tm)
   }
 

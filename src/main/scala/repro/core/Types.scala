@@ -23,11 +23,6 @@ object DataType {
   val all: Seq[DataType] = Seq(Text, NominalString, InstanceRef, Date, Quantity, NominalInt)
   def fromName(s: String): DataType = all.find(_.name == s).getOrElse(
     throw new IllegalArgumentException(s"unknown data type: $s"))
-
-  /** The three *detectable* types assigned by the regex type detector; the
-    * remaining three require semantics and are set after property matching.
-    */
-  val detectable: Seq[DataType] = Seq(Text, Date, Quantity)
 }
 
 /** Value normalization and parsing helpers shared by all components. */

@@ -34,15 +34,26 @@ object Experiment {
     val goldRowCluster: Map[Long, Long] =
       gold.rows.map(r => Keys.rowKey(r.tableId, r.rowId) -> r.entityId).toMap
 
+    /** Generation truth per rowKey over the whole corpus: the world entity
+      * each row describes (the large-scale evaluation, paper Table 11).
+      */
+    lazy val rowTruthEntity: Map[Long, Long] =
+      corpus.rowTruth.map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
     /** Gold cluster per rowKey over the WHOLE corpus: bulk-table rows of a
       * gold entity also map to its cluster. Used by the entity-level
       * evaluations — a returned cluster may legitimately absorb bulk rows of
       * the same instance, which the paper's gold-only runs could not see.
       */
-    lazy val rowGoldAll: Map[Long, Long] = corpus.rowTruth
-      .filter(rt => gold.clusterById.contains(rt.entityId))
-      .map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
+    lazy val rowGoldAll: Map[Long, Long] =
+      rowTruthEntity.filter { case (_, e) => gold.clusterById.contains(e) }
     def goldClustersOf(cls: String): Seq[GoldCluster] = gold.clusters.filter(_.cls == cls)
+
+    /** Rows of the tables matched to a class (paper Table 11's total rows). */
+    def classRows(cls: String): Long = {
+      val tables = pipe.classTables(cls).collect().map(_.getLong(0)).toSet
+      corpus.cells.filter(c => tables.contains(c.tableId)).map(c => (c.tableId, c.rowId))
+        .distinct.size.toLong
+    }
 
     /** Iteration-1 attribute model learned on all gold tables. */
     lazy val attrModel1: AttributeMatcher.AttrModel =
@@ -119,10 +130,7 @@ object Experiment {
       pairFeats, ctx.goldRowCluster, learnRows, clusterMetrics, seed)
 
     val learnEnts = goldEntities(ctx, cls, learnClusters)
-    val truth: Map[Long, Option[String]] = learnClusters.toSeq.map { gid =>
-      val c = ctx.gold.clusterById(gid)
-      gid -> (if (c.isNew) None else Some(c.uri))
-    }.toMap
+    val truth = learnClusters.map(gid => gid -> ctx.gold.clusterById(gid).instance).toMap
     val (detectAgg, _, tn, tm) = PipelineRunner.learnDetect(
       ctx.pipe, cls, learnEnts, truth, detectMetrics, seed + 1)
     repro.core.ClassModels(clusterAgg, clusterMetrics, detectAgg, detectMetrics, tn, tm)

@@ -10,19 +10,22 @@ object Metrics {
 
   def f1(p: Double, r: Double): Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
 
+  /** The most frequent id among an entity's rows under `idOf`, with its row
+    * count; ties go to the smaller id. None when no row has an id.
+    */
+  private def plurality(e: Entity, idOf: Map[Long, Long]): Option[(Long, Int)] = {
+    val ids = e.rowKeys.flatMap(idOf.get)
+    if (ids.isEmpty) None
+    else Some(ids.groupBy(identity).map { case (i, xs) => (i, xs.size) }
+      .maxBy { case (i, c) => (c, -i) })
+  }
+
   /** Map each returned entity to the gold cluster holding the majority of
     * its rows (None when no strict majority exists — a wrongly created
     * entity).
     */
-  def entityGoldCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] = {
-    val goldRows = e.rowKeys.flatMap(rowGold.get)
-    if (goldRows.isEmpty) None
-    else {
-      val (gid, cnt) = goldRows.groupBy(identity).map { case (g, xs) => (g, xs.size) }
-        .maxBy { case (g, c) => (c, -g) }
-      if (cnt * 2 > e.rowKeys.size) Some(gid) else None
-    }
-  }
+  def entityGoldCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] =
+    plurality(e, rowGold).collect { case (g, c) if c * 2 > e.rowKeys.size => g }
 
   /** New-instances-found evaluation (paper Section 4.1, Table 9). An entity
     * correctly returns a new gold instance when (1) the majority of its rows
@@ -34,12 +37,8 @@ object Metrics {
   /** Plurality gold cluster among an entity's rows (no majority demanded) —
     * used to attribute wrongly created entities to one CV fold.
     */
-  def entityPluralityCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] = {
-    val goldRows = e.rowKeys.flatMap(rowGold.get)
-    if (goldRows.isEmpty) None
-    else Some(goldRows.groupBy(identity).map { case (g, xs) => (g, xs.size) }
-      .maxBy { case (g, c) => (c, -g) }._1)
-  }
+  def entityPluralityCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] =
+    plurality(e, rowGold).map(_._1)
 
   def newInstancesFound(entities: Seq[Entity], detections: Map[Long, Detection],
                         rowGold: Map[Long, Long], gold: GoldStandard,
@@ -160,18 +159,8 @@ object Metrics {
       case DetectedExisting(u, _) => Some(u); case _ => None
     }).distinct
     val newEnts = entities.filter(e => detections.get(e.entityKey).contains(DetectedNew))
-
-    def majorityTruth(e: Entity): Option[Long] = {
-      val ids = e.rowKeys.flatMap(rowTruthEntity.get)
-      if (ids.isEmpty) None
-      else {
-        val (id, c) = ids.groupBy(identity).map { case (i, xs) => (i, xs.size) }
-          .maxBy { case (i, c0) => (c0, -i) }
-        if (c * 2 > e.rowKeys.size) Some(id) else None
-      }
-    }
     val judged = newEnts.map { e =>
-      val truthNew = majorityTruth(e) match {
+      val truthNew = entityGoldCluster(e, rowTruthEntity) match {
         case Some(id) => !world.entityById(id).inKB
         case None     => false
       }
@@ -184,7 +173,7 @@ object Metrics {
     var factsTotal = 0; var factsCorrect = 0
     judged.foreach { case (e, _) =>
       factsTotal += e.facts.size
-      majorityTruth(e).foreach { id =>
+      entityGoldCluster(e, rowTruthEntity).foreach { id =>
         val truth = world.entityById(id).truth
         e.facts.foreach { case (p, v) =>
           if (truth.get(p).exists(t => TypeSim.equal(schema.getOrElse(p, DataType.Text), v, t)))

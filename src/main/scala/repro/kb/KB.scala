@@ -58,9 +58,6 @@ class KnowledgeBase(val spark: SparkSession,
   lazy val factsByUri: Map[String, Map[String, String]] =
     factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap }
 
-  def propertiesOf(cls: String): Seq[String] =
-    schema.filter(_.cls == cls).map(_.property)
-
   /** Local snapshot of all instances of a class (with their facts and a
     * bag-of-words built from labels + facts, mirroring the paper's use of
     * labels, abstract and facts for the BOW entity metric).
@@ -72,21 +69,6 @@ class KnowledgeBase(val spark: SparkSession,
       KBInstanceLocal(i.uri, i.cls, i.parents, i.label +: i.altLabels,
                       i.popularity, fs, bow.sorted)
     }
-
-  /** Label token index over ALL instances (all classes): normalized token ->
-    * instance URIs. Substitute for the paper's Lucene index; used for
-    * table-to-class matching and new-detection candidate selection.
-    */
-  lazy val labelTokenIndex: Map[String, Seq[String]] =
-    instancesSeq.flatMap { i =>
-      (i.label +: i.altLabels).flatMap(TextSim.tokenize).distinct.map(_ -> i.uri)
-    }.groupBy(_._1).map { case (t, xs) => t -> xs.map(_._2).distinct }
-
-  /** Full normalized label -> URIs (exact-label lookup). */
-  lazy val labelExactIndex: Map[String, Seq[String]] =
-    instancesSeq.flatMap { i =>
-      (i.label +: i.altLabels).map(l => Values.normalize(l) -> i.uri)
-    }.groupBy(_._1).map { case (l, xs) => l -> xs.map(_._2).distinct }
 
   val instanceByUri: Map[String, KBInstance] = instancesSeq.map(i => i.uri -> i).toMap
 

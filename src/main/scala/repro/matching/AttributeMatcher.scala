@@ -16,6 +16,8 @@ object Keys {
   def rowKey(tableId: Long, rowId: Int): Long = tableId * RowsPerTable + rowId
   def colKey(tableId: Long, colId: Int): Long = tableId * ColsPerTable + colId
   def tableOfRow(rowKey: Long): Long = rowKey / RowsPerTable
+  /** (tableId, colId) of a column key: the inverse of [[colKey]]. */
+  def colOf(colKey: Long): (Long, Int) = (colKey / ColsPerTable, (colKey % ColsPerTable).toInt)
 
   /** Rejects ids outside the packable ranges: such a row or column would
     * share its key with one of another table.

@@ -1,6 +1,5 @@
 package repro.newdetect
 
-import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{DataType, TextSim, TypeSim, Values}
 import repro.fusion.Entity
 import repro.kb.KBInstanceLocal
@@ -78,16 +77,26 @@ object EntitySimilarity {
   }
 }
 
-/** Candidate selection + similarity + threshold classification. */
-object NewDetector {
-  val topK = 20
-  val minCandLabelSim = 0.6
-
-  /** All candidate instances with features for one entity (local). */
-  def candidateFeatures(e: Entity, tokenIndex: Map[String, Seq[Int]],
-                        instances: IndexedSeq[KBInstanceLocal],
+/** Candidate selection over one class's KB snapshot (paper Section 3.4), a
+  * substitute for the paper's Lucene label index: a normalized-token index
+  * over the instance labels retrieves instances of the entity's class or of a
+  * class sharing one of its parents, and the retrieved candidates get the
+  * entity-to-instance feature vector. Built once per class and broadcast to
+  * the detection tasks.
+  */
+class CandidateSelector(instances: IndexedSeq[KBInstanceLocal],
                         schema: Map[String, DataType],
-                        classParents: Map[String, Seq[String]]): Seq[(String, Array[Double])] = {
+                        classParents: Map[String, Seq[String]]) extends Serializable {
+  import CandidateSelector._
+
+  /** Normalized label token -> positions in `instances`. */
+  val tokenIndex: Map[String, Seq[Int]] =
+    instances.zipWithIndex.flatMap { case (inst, i) =>
+      inst.labels.flatMap(l => TextSim.tokenize(Values.normalize(l))).distinct.map(_ -> i)
+    }.groupBy(_._1).map { case (t, xs) => t -> xs.map(_._2) }
+
+  /** The entity's candidate instances with their feature vectors. */
+  def features(e: Entity): Seq[(String, Array[Double])] = {
     val eTypes = (e.cls +: classParents.getOrElse(e.cls, Nil)).toSet
     val tokens = e.labels.flatMap(l => TextSim.tokenize(Values.normalize(l))).distinct
     val counts = scala.collection.mutable.Map.empty[Int, Int]
@@ -117,32 +126,30 @@ object NewDetector {
       inst.uri -> EntitySimilarity.features(e, inst, pop, schema, classParents)
     }
   }
+}
 
-  /** Classify entities with a trained aggregator and learned thresholds
-    * (scores are in [-1,1]; `tNew` <= `tMatch`).
+object CandidateSelector {
+  val topK = 20
+  val minCandLabelSim = 0.6
+}
+
+/** Classification of an entity from its candidates' features: a trained
+  * aggregator scores each candidate, and two learned thresholds split the
+  * best score into new / existing / undecided.
+  */
+object NewDetector {
+
+  /** Each candidate's score: its features at `featIdx`, aggregated by `agg`. */
+  def scores(cands: Seq[(String, Array[Double])], agg: Aggregator,
+             featIdx: Array[Int]): Seq[(String, Double)] =
+    cands.map { case (uri, f) => (uri, agg.normScore(featIdx.map(f))) }
+
+  /** The detection of one entity from its candidates' features (scores are
+    * in [-1,1]; `tNew` <= `tMatch`).
     */
-  def classify(spark: SparkSession, entities: Dataset[Entity],
-               tokenIndex: Map[String, Seq[Int]], instances: IndexedSeq[KBInstanceLocal],
-               schema: Map[String, DataType], classParents: Map[String, Seq[String]],
-               agg: Aggregator, featIdx: Array[Int],
-               tNew: Double, tMatch: Double): Dataset[(Long, String, Double)] = {
-    import spark.implicits._
-    val parentsB = spark.sparkContext.broadcast(classParents)
-    val idxB = spark.sparkContext.broadcast(tokenIndex)
-    val instB = spark.sparkContext.broadcast(instances)
-    val schemaB = spark.sparkContext.broadcast(schema)
-    val aggB = spark.sparkContext.broadcast(agg)
-    val fIdxB = spark.sparkContext.broadcast(featIdx)
-    entities.map { e =>
-      val scored = candidateFeatures(e, idxB.value, instB.value, schemaB.value, parentsB.value)
-        .map { case (uri, f) => (uri, aggB.value.normScore(fIdxB.value.map(f))) }
-      detectionFor(scored, tNew, tMatch) match {
-        case DetectedNew               => (e.entityKey, "", 1.0)
-        case DetectedExisting(uri, s)  => (e.entityKey, uri, s)
-        case Undecided                 => (e.entityKey, "?", 0.0)
-      }
-    }
-  }
+  def detect(cands: Seq[(String, Array[Double])], agg: Aggregator, featIdx: Array[Int],
+             tNew: Double, tMatch: Double): Detection =
+    detectionFor(scores(cands, agg, featIdx), tNew, tMatch)
 
   /** Apply the two-threshold rule to scored candidates. */
   def detectionFor(scored: Seq[(String, Double)], tNew: Double, tMatch: Double): Detection = {
@@ -175,10 +182,4 @@ object NewDetector {
     }
     best
   }
-
-  /** Build the label token index over a local instance snapshot. */
-  def tokenIndex(instances: IndexedSeq[KBInstanceLocal]): Map[String, Seq[Int]] =
-    instances.zipWithIndex.flatMap { case (inst, i) =>
-      inst.labels.flatMap(l => TextSim.tokenize(Values.normalize(l))).distinct.map(_ -> i)
-    }.groupBy(_._1).map { case (t, xs) => t -> xs.map(_._2) }
 }

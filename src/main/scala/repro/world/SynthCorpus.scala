@@ -17,7 +17,10 @@ case class RowTruthRec(tableId: Long, rowId: Int, entityId: Long, cls: String,
 case class ColTruthRec(tableId: Long, colId: Int, property: String, isLabel: Boolean)
 
 /** Gold standard annotations (paper Section 2.3). */
-case class GoldCluster(entityId: Long, cls: String, isNew: Boolean, uri: String)
+case class GoldCluster(entityId: Long, cls: String, isNew: Boolean, uri: String) {
+  /** The KB instance the cluster describes; None for a new entity. */
+  def instance: Option[String] = if (isNew) None else Some(uri)
+}
 case class GoldRow(tableId: Long, rowId: Int, entityId: Long)
 case class GoldAttr(tableId: Long, colId: Int, property: String)
 case class GoldFact(entityId: Long, property: String, value: String, presentInTables: Boolean)

@@ -3,7 +3,7 @@ package repro.eval
 import repro.{SparkSpec, TestWorld}
 import repro.core.PipelineRunner
 import repro.fusion.Voting
-import repro.newdetect.{DetectedExisting, DetectedNew, Detection, NewDetector}
+import repro.newdetect.{DetectedExisting, DetectedNew, Detection, EntitySimilarity, NewDetector}
 import repro.world.Schemas
 
 /** Test-scale versions of the gold-standard evaluations (paper Tables 8-10):
@@ -23,26 +23,25 @@ class GoldEvalSpec extends SparkSpec {
     }
   }
 
-  test("new detection on gold clusters beats the always-new baseline (Table 8 protocol)") {
+  /** GF-Player gold entities and a detection model learned on folds 0 and 1. */
+  private lazy val gfDetect = {
     val cls = Schemas.GFPlayer
     val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
     val ents = Experiment.goldEntities(ctx, cls, all)
-    val truth: Map[Long, Option[String]] = all.toSeq.map { gid =>
-      val c = ctx.gold.clusterById(gid)
-      gid -> (if (c.isNew) None else Some(c.uri))
-    }.toMap
     val learn = (ctx.folds(0) ++ ctx.folds(1)).toSet.intersect(all)
+    val truth = learn.map(gid => gid -> ctx.gold.clusterById(gid).instance).toMap
+    val model = PipelineRunner.learnDetect(
+      ctx.pipe, cls, ents.filter(e => learn.contains(e.entityKey)), truth,
+      EntitySimilarity.metricNames, 5)
+    (cls, all, ents, model)
+  }
+
+  test("new detection on gold clusters beats the always-new baseline (Table 8 protocol)") {
+    val (cls, all, ents, (agg, fi, tn, tm)) = gfDetect
     val test = ctx.folds(2).toSet.intersect(all)
-    val (agg, fi, tn, tm) = PipelineRunner.learnDetect(
-      ctx.pipe, cls, ents.filter(e => learn.contains(e.entityKey)),
-      truth.filter(t => learn.contains(t._1)),
-      repro.newdetect.EntitySimilarity.metricNames, 5)
-    val snapshot = ctx.pipe.detectSnapshot(cls)
-    val idx = NewDetector.tokenIndex(snapshot)
+    val selector = ctx.pipe.selector(cls)
     val results = ents.filter(e => test.contains(e.entityKey)).map { e =>
-      val scored = NewDetector.candidateFeatures(e, idx, snapshot, ctx.schema, ctx.kb.classParents)
-        .map { case (u, f) => (u, agg.normScore(fi.map(f))) }
-      e.entityKey -> NewDetector.detectionFor(scored, tn, tm)
+      e.entityKey -> NewDetector.detect(selector.features(e), agg, fi, tn, tm)
     }
     val ev = Metrics.detectionEval(results, ctx.gold)
     // always-new baseline accuracy = share of new clusters in the test fold
@@ -52,13 +51,23 @@ class GoldEvalSpec extends SparkSpec {
     assert(ev.accuracy > 0.5, s"accuracy ${ev.accuracy}")
   }
 
+  test("Pipeline.detect in Spark tasks equals the selector and the rule on the driver") {
+    import spark.implicits._
+    val (cls, _, ents, (agg, fi, tn, tm)) = gfDetect
+    val selector = ctx.pipe.selector(cls)
+    val local = ents.map(e => e.entityKey -> NewDetector.detect(selector.features(e), agg, fi, tn, tm)).toMap
+    val dets = ctx.pipe.detect(cls, ents.toDS(), agg, fi, tn, tm)
+    assert(dets == local)
+    assert(dets.values.exists(_ == DetectedNew), "some entity must be new")
+    assert(dets.values.exists(_.isInstanceOf[DetectedExisting]), "some entity must be existing")
+  }
+
   test("facts found with perfect clustering and detection is high (Table 10 GS/GS)") {
     val cls = Schemas.Settlement
     val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
     val ents = Experiment.goldEntities(ctx, cls, all, Voting)
-    val perfect: Map[Long, Detection] = all.toSeq.map { gid =>
-      val c = ctx.gold.clusterById(gid)
-      gid -> (if (c.isNew) (DetectedNew: Detection) else DetectedExisting(c.uri, 1.0))
+    val perfect: Map[Long, Detection] = all.map { gid =>
+      gid -> ctx.gold.clusterById(gid).instance.fold[Detection](DetectedNew)(DetectedExisting(_, 1.0))
     }.toMap
     val prf = Metrics.factsFound(ents, perfect, ctx.rowGoldAll, ctx.gold, all, ctx.schema)
     assert(prf.f1 > 0.5, s"GS/GS facts F1 ${prf.f1} (paper: 0.98 for Settlement)")

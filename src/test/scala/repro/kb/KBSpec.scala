@@ -45,7 +45,7 @@ class KBSpec extends SparkSpec {
   }
 
   test("schema lookup by class exposes the paper's properties") {
-    val props = kb.propertiesOf(Schemas.GFPlayer)
+    val props = kb.schemaByClass(Schemas.GFPlayer).keySet
     assert(props.contains("birthDate") && props.contains("draftPick"))
     assert(kb.schemaByClass(Schemas.Song)("runtime") == repro.core.DataType.Quantity)
   }
@@ -69,17 +69,6 @@ class KBSpec extends SparkSpec {
       assert(i.labels.nonEmpty)
       assert(i.bow.nonEmpty)
     }
-  }
-
-  test("labelExactIndex finds instances by normalized label") {
-    val inst = kb.instancesSeq.head
-    val uris = kb.labelExactIndex(repro.core.Values.normalize(inst.label))
-    assert(uris.contains(inst.uri))
-  }
-
-  test("labelTokenIndex covers every instance") {
-    val indexed = kb.labelTokenIndex.values.flatten.toSet
-    assert(kb.instancesSeq.map(_.uri).toSet.subsetOf(indexed))
   }
 
   test("classParents exposes the hierarchy") {

@@ -82,7 +82,7 @@ class MatchingSpec extends SparkSpec {
 
   // ---- attribute-to-property matching ------------------------------------------------
   test("iteration-1 attribute matching clears a minimum F1 on gold tables") {
-    val corr = ctx.corr1.toSeq.map { case (ck, (p, _)) => ((ck / 1000L, (ck % 1000L).toInt), p) }
+    val corr = ctx.corr1.toSeq.map { case (ck, (p, _)) => (Keys.colOf(ck), p) }
     val (pr, rc, f1) = AttributeMatcher.evaluate(corr, ctx.goldAttrMap, ctx.gold.tableIds)
     assert(f1 > 0.5, s"iteration-1 attr F1 too low: P=$pr R=$rc F1=$f1")
     assert(pr > 0.6, s"iteration-1 attr precision too low: $pr")
@@ -110,6 +110,7 @@ class MatchingSpec extends SparkSpec {
     assert(Keys.rowKey(42L, 7) == 4200007L)
     assert(Keys.tableOfRow(Keys.rowKey(42L, 7)) == 42L)
     assert(Keys.colKey(42L, 3) == 42003L)
+    assert(Keys.colOf(Keys.colKey(42L, 3)) == ((42L, 3)))
   }
 
   private def oversized(cell: TableCellRec => TableCellRec): IllegalArgumentException = {

@@ -62,23 +62,22 @@ class NewDetectSpec extends AnyFunSuite {
   }
 
   // ---- candidate selection ----------------------------------------------------
+  private def selector(instances: KBInstanceLocal*) =
+    new CandidateSelector(instances.toIndexedSeq, schema, parents)
+
   test("candidateFeatures finds same-class instances by token overlap") {
-    val instances = IndexedSeq(
+    val cands = selector(
       inst("u1", "Song", Seq("blue dreams")),
       inst("u2", "Song", Seq("red fire")),
       inst("u3", "Settlement", Seq("blue dreams"))) // wrong branch of hierarchy
-    val idx = NewDetector.tokenIndex(instances)
-    val cands = NewDetector.candidateFeatures(entity(Seq("Blue Dreams")), idx,
-      instances, schema, parents)
+      .features(entity(Seq("Blue Dreams")))
     assert(cands.map(_._1) == Seq("u1"), s"got ${cands.map(_._1)}")
   }
   test("candidateFeatures ranks popularity within the candidate set") {
-    val instances = IndexedSeq(
+    val cands = selector(
       inst("u1", "Song", Seq("blue dreams"), pop = 1000),
       inst("u2", "Song", Seq("blue dreams"), pop = 10))
-    val idx = NewDetector.tokenIndex(instances)
-    val cands = NewDetector.candidateFeatures(entity(Seq("blue dreams")), idx,
-      instances, schema, parents).toMap
+      .features(entity(Seq("blue dreams"))).toMap
     assert(cands("u1")(7) == 1.0)
     assert(cands("u2")(7) == 0.0)
   }
@@ -109,8 +108,7 @@ class NewDetectSpec extends AnyFunSuite {
     }
   }
   test("tokenIndex maps every instance label token") {
-    val instances = IndexedSeq(inst("u1", "Song", Seq("blue dreams")))
-    val idx = NewDetector.tokenIndex(instances)
+    val idx = selector(inst("u1", "Song", Seq("blue dreams"))).tokenIndex
     assert(idx("blue") == Seq(0) && idx("dreams") == Seq(0))
   }
 }
