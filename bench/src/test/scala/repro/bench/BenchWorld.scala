@@ -1,63 +1,13 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{ClassModels, ClassRun}
-import repro.eval.Experiment
-import repro.fusion.{FusionScoring, Voting}
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.eval.{Experiment, Tables}
+import repro.world.{CorpusConfig, WorldConfig}
 
-/** Bench-scale world shared by every bench suite, plus memoized full system
-  * runs so Tables 9/10/11/12 don't recompute each other's pipelines.
+/** The paper tables on the bench-scale world, shared by every bench suite
+  * (each table and the runs behind it are computed once).
   */
 object BenchWorld {
-  lazy val ctx: Experiment.Ctx =
-    Experiment.build(SparkSpec.shared, WorldConfig.bench(), CorpusConfig.bench())
-
-  /** Per-(class, fold) models learned on the other two folds. */
-  private val foldModelCache = scala.collection.mutable.Map.empty[(String, Int), ClassModels]
-  def foldModels(cls: String, testFold: Int): ClassModels =
-    foldModelCache.getOrElseUpdate((cls, testFold), {
-      val classClusters = ctx.goldClustersOf(cls).map(_.entityId).toSet
-      val learn = ctx.folds.zipWithIndex.filter(_._2 != testFold)
-        .flatMap(_._1).toSet.intersect(classClusters)
-      Experiment.learnFold(ctx, cls, learn)
-    })
-
-  /** Per-(class, fold) full two-iteration system run (VOTING fusion). */
-  private val cvRunCache = scala.collection.mutable.Map.empty[(String, Int), ClassRun]
-  def cvRun(cls: String, testFold: Int): ClassRun =
-    cvRunCache.getOrElseUpdate((cls, testFold), {
-      Experiment.fullRun(ctx, cls, foldModels(cls, testFold), Voting)
-    })
-
-  /** Per-class full run with models learned on ALL gold (Tables 11/12). */
-  private val fullCache = scala.collection.mutable.Map.empty[String, ClassRun]
-  def fullRunAllGold(cls: String, scoring: FusionScoring = Voting): ClassRun =
-    fullCache.getOrElseUpdate(cls, {
-      val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
-      val models = Experiment.learnFold(ctx, cls, all)
-      Experiment.fullRun(ctx, cls, models, scoring)
-    })
-
-  def testFoldClusters(cls: String, fold: Int): Set[Long] =
-    ctx.folds(fold).toSet.intersect(ctx.goldClustersOf(cls).map(_.entityId).toSet)
-
-  val classes: Seq[String] = Schemas.mainClasses
-}
-
-/** Plain-text table printer so bench output can be diffed into
-  * EXPERIMENTS.md next to the paper's numbers.
-  */
-object BenchFmt {
-  def print(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    val all = header +: rows
-    val widths = header.indices.map(i => all.map(_(i).length).max)
-    def fmt(r: Seq[String]) = r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("  ")
-    println(s"\n=== $title ===")
-    println(fmt(header))
-    println(widths.map("-" * _).mkString("  "))
-    rows.foreach(r => println(fmt(r)))
-  }
-  def f(d: Double): String = f"$d%.2f"
-  def f3(d: Double): String = f"$d%.3f"
+  lazy val tables: Tables =
+    new Tables(Experiment.build(SparkSpec.shared, WorldConfig.bench(), CorpusConfig.bench()))
 }

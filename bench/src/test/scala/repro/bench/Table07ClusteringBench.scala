@@ -1,82 +1,26 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.clustering.{ClusteringEval, GreedyClusterer, RowSimilarity}
-import repro.core.PipelineRunner
-import repro.eval.Experiment
 
 /** Paper Table 7: row clustering ablation — cumulative metric stacks, three-
   * fold cross validation, penalized clustering precision / average recall /
   * F1 and metric importances.
   */
 class Table07ClusteringBench extends SparkSpec {
-
-  private val stacks: Seq[Seq[String]] =
-    (1 to RowSimilarity.metricNames.size).map(RowSimilarity.metricNames.take)
-
   test("Table 7: row clustering ablation (PCP / AR / F1 / MI)") {
-    val ctx = BenchWorld.ctx
-    // (stack, fold-and-class-averaged scores)
-    val results = scala.collection.mutable.Map.empty[Int, scala.collection.mutable.ArrayBuffer[ClusteringEval.Result]]
-    val importances = scala.collection.mutable.ArrayBuffer.empty[Map[String, Double]]
+    val tables = BenchWorld.tables
+    val t = tables.table7
+    tables.table7Printed.print()
 
-    BenchWorld.classes.foreach { cls =>
-      val (pairDS, comps) = ctx.pairStage1(cls)
-      val goldPairs = ctx.goldPairs1(cls)
-      // exact reduction: only components containing a gold row can affect the
-      // gold evaluation — cluster those, skip the rest
-      val goldComps = comps.collect {
-        case (rk, c) if ctx.goldRowCluster.contains(rk) => c }.toSet
-      val subComps = comps.filter { case (_, c) => goldComps.contains(c) }
-      val keepRows = subComps.keySet
-      val subPairs = pairDS.filter(p => keepRows.contains(p.a) && keepRows.contains(p.b)).cache()
-
-      (0 until 3).foreach { fold =>
-        val testClusters = BenchWorld.testFoldClusters(cls, fold)
-        val learnRows = ctx.goldRowCluster.filter { case (_, g) => !testClusters.contains(g) }.keySet
-        val testRows = ctx.goldRowCluster.filter { case (_, g) => testClusters.contains(g) }.keySet
-        stacks.zipWithIndex.foreach { case (stack, si) =>
-          val (agg, fi) = PipelineRunner.learnClusterAgg(
-            goldPairs, ctx.goldRowCluster, learnRows, stack, seed = 5 + fold)
-          val edges = GreedyClusterer.scoreEdges(spark, subPairs, agg, fi)
-          val assigned = GreedyClusterer.cluster(spark, edges, subComps)
-          val res = ClusteringEval.evaluate(
-            assigned.filter { case (rk, _) => testRows.contains(rk) },
-            ctx.goldRowCluster.filter { case (rk, _) => testRows.contains(rk) })
-          results.getOrElseUpdate(si, scala.collection.mutable.ArrayBuffer.empty) += res
-          if (si == stacks.size - 1)
-            importances += Experiment.metricImportances(agg,
-              stack.map(m => m -> RowSimilarity.metricIdx(m)._1))
-        }
-      }
-    }
-
-    val paper = Seq( // (run label, PCP, AR, F1, MI)
-      ("LABEL", 0.71, 0.83, 0.76, 0.33), ("+ BOW", 0.73, 0.84, 0.78, 0.18),
-      ("+ PHI", 0.74, 0.84, 0.78, 0.05), ("+ ATTRIBUTE", 0.75, 0.85, 0.80, 0.21),
-      ("+ IMPLICIT_ATT", 0.78, 0.87, 0.82, 0.17), ("+ SAME_TABLE", 0.79, 0.87, 0.83, 0.07))
-    val avgImp = RowSimilarity.metricNames.map { m =>
-      m -> importances.map(_.getOrElse(m, 0.0)).sum / importances.size }.toMap
-    val rows = stacks.indices.map { si =>
-      val rs = results(si)
-      val pcp = rs.map(_.penalizedPrecision).sum / rs.size
-      val ar = rs.map(_.averageRecall).sum / rs.size
-      val f1 = rs.map(_.f1).sum / rs.size
-      val mi = avgImp(RowSimilarity.metricNames(si))
-      val (lbl, ppcp, par, pf1, pmi) = paper(si)
-      Seq(lbl, BenchFmt.f(pcp), BenchFmt.f(ar), BenchFmt.f(f1), BenchFmt.f(mi),
-          s"$ppcp/$par/$pf1/$pmi")
-    }
-    BenchFmt.print("Paper Table 7 — row clustering ablation",
-      Seq("Run", "PCP", "AR", "F1", "MI", "Paper(PCP/AR/F1/MI)"), rows)
-
-    def f1Of(si: Int) = { val rs = results(si); rs.map(_.f1).sum / rs.size }
-    val labelOnly = f1Of(0); val full = f1Of(stacks.size - 1)
+    val nStacks = t.layout.metricNames.size
+    def f1Of(n: Int) = t.scores(n)(2)
+    val labelOnly = f1Of(1); val full = f1Of(nStacks)
     assert(full > 0.55, s"full-stack clustering F1 $full")
     assert(full >= labelOnly - 0.02,
       s"aggregating all metrics ($full) must not lose to LABEL-only ($labelOnly)")
     // the paper finds LABEL the most important metric (0.33); learned
     // importances fluctuate at our scale, so assert it stays a major signal
+    val avgImp = t.importance
     assert(avgImp("LABEL") >= 0.15,
       s"LABEL importance ${avgImp("LABEL")} must remain a major signal (paper: 0.33)")
     assert(avgImp("LABEL") > avgImp("SAME_TABLE"),

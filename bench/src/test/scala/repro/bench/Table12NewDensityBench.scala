@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Metrics
 import repro.world.Schemas
 
 /** Paper Table 12: property densities of the new entities returned by the
@@ -10,31 +9,11 @@ import repro.world.Schemas
   * position/team, not birth data; song tables almost never carry writer).
   */
 class Table12NewDensityBench extends SparkSpec {
-
   test("Table 12: property densities for new entities") {
-    val ctx = BenchWorld.ctx
-    val paper = Map(
-      ("GridironFootballPlayer", "position") -> 65.82, ("GridironFootballPlayer", "team") -> 54.62,
-      ("GridironFootballPlayer", "college") -> 48.98, ("GridironFootballPlayer", "birthPlace") -> 0.90,
-      ("GridironFootballPlayer", "birthDate") -> 18.14,
-      ("Song", "musicalArtist") -> 76.84, ("Song", "runtime") -> 61.86,
-      ("Song", "writer") -> 0.14, ("Song", "recordLabel") -> 5.50,
-      ("Settlement", "isPartOf") -> 50.12, ("Settlement", "elevation") -> 1.79)
+    val t = BenchWorld.tables.table12
+    t.printed.print()
 
-    val allRows = BenchWorld.classes.flatMap { cls =>
-      val run = BenchWorld.fullRunAllGold(cls)
-      val dens = Metrics.newEntityDensities(run.entities, run.detections)
-      Schemas.propDefs(cls).map(_.property).map { p =>
-        val (facts, d) = dens.getOrElse(p, (0L, 0.0))
-        (cls, p, facts, d * 100)
-      }.sortBy(-_._4)
-    }
-    BenchFmt.print("Paper Table 12 — property densities of new entities",
-      Seq("Class", "Property", "Facts", "Density%", "Paper%"),
-      allRows.map { case (c, p, f, d) =>
-        Seq(c, p, f.toString, BenchFmt.f(d), paper.get((c, p)).map(_.toString).getOrElse("-")) })
-
-    val dens = allRows.map(r => (r._1, r._2) -> r._4).toMap
+    val dens = t.rows.map(d => (d.cls, d.property) -> d.density).toMap
     // paper shape: web-table density profile, not the KB's
     assert(dens((Schemas.GFPlayer, "position")) > dens((Schemas.GFPlayer, "birthPlace")),
       "football tables carry position, almost never birthPlace")

@@ -1,7 +1,6 @@
 package repro.clustering
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{Pipeline, TextSim, Values}
 import repro.kb.KnowledgeBase
@@ -69,9 +68,9 @@ object RowProfiles {
 
     // ---- PHI: label correlation vectors, averaged per table ---------------
     // Label ids follow the label text, not the partition layout: the PHI cap
-    // breaks ties on them.
-    val labelIds = core.select($"normLabel").distinct()
-      .withColumn("labelId", dense_rank().over(Window.orderBy($"normLabel")).cast("long"))
+    // breaks ties on them. Ids are the labels' ranks in sorted order, from 1.
+    val labelIds = Pipeline.materialize(core.select($"normLabel").distinct().orderBy($"normLabel")
+      .as[String].rdd.zipWithIndex().map { case (l, i) => (l, i + 1) }.toDF("normLabel", "labelId"))
     val tl = Pipeline.materialize(core.join(labelIds, "normLabel")
       .select($"tableId", $"labelId").distinct())
     val nLabels = labelIds.count().toDouble

@@ -1,6 +1,7 @@
 package repro.clustering
 
 import repro.core.{DataType, TextSim, TypeSim}
+import repro.learn.MetricLayout
 
 /** The six row-similarity metrics (paper Section 3.2) as one feature vector:
   *
@@ -13,23 +14,9 @@ import repro.core.{DataType, TextSim, TypeSim}
   *   6   +conf      sum of compared implicit-attribute scores
   *   7 SAME_TABLE   0.0 when both rows share a table, else 1.0
   */
-object RowSimilarity {
-
-  val metricNames: Seq[String] = Seq("LABEL", "BOW", "PHI", "ATTRIBUTE", "IMPLICIT_ATT", "SAME_TABLE")
-  val dim = 8
-
-  /** Feature indices (score, optional confidence) per metric. */
-  val metricIdx: Map[String, (Int, Option[Int])] = Map(
-    "LABEL" -> (0, None), "BOW" -> (1, None), "PHI" -> (2, None),
-    "ATTRIBUTE" -> (3, Some(4)), "IMPLICIT_ATT" -> (5, Some(6)), "SAME_TABLE" -> (7, None))
-
-  /** Full-feature indices for an active metric subset (confidences included). */
-  def featureIndices(metrics: Seq[String]): Array[Int] =
-    metrics.flatMap { m => val (s, c) = metricIdx(m); s +: c.toSeq }.toArray.sorted
-
-  /** Score-only indices (the weighted average ignores confidences). */
-  def scoreIndices(metrics: Seq[String]): Array[Int] =
-    metrics.map(m => metricIdx(m)._1).toArray.sorted
+object RowSimilarity extends MetricLayout(Seq(
+    "LABEL" -> false, "BOW" -> false, "PHI" -> false,
+    "ATTRIBUTE" -> true, "IMPLICIT_ATT" -> true, "SAME_TABLE" -> false)) {
 
   def features(a: RowProfile, b: RowProfile,
                schema: Map[String, DataType]): Array[Double] = {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.clustering._
 import repro.fusion._
 import repro.kb.{KBInstanceLocal, KnowledgeBase}
-import repro.learn.{Aggregator, Aggregators, CombinedAgg}
+import repro.learn.{Aggregator, CombinedAgg}
 import repro.matching._
 import repro.newdetect._
 
@@ -173,15 +173,10 @@ object PipelineRunner {
     */
   def learnClusterAgg(feats: Seq[PairFeature], goldCluster: Map[Long, Long],
                       learnRows: Set[Long], metrics: Seq[String], seed: Long): (CombinedAgg, Array[Int]) = {
-    val fi = RowSimilarity.featureIndices(metrics)
-    val si = RowSimilarity.scoreIndices(metrics)
-    val siWithin = si.map(fi.indexOf(_)) // positions of scores inside selected vector
     val usable = feats.filter(p => learnRows.contains(p.a) && learnRows.contains(p.b) &&
                                    goldCluster.contains(p.a) && goldCluster.contains(p.b))
-    val x = usable.map(p => fi.map(p.features)).toArray
-    val y = usable.map(p => goldCluster(p.a) == goldCluster(p.b)).toArray
-    val (_, _, combined) = Aggregators.train(x, y, siWithin, seed)
-    (combined, fi)
+    RowSimilarity.train(usable.map(_.features.toArray),
+                        usable.map(p => goldCluster(p.a) == goldCluster(p.b)), metrics, seed)
   }
 
   /** Learn the new-detection aggregator + thresholds from gold entities. */
@@ -200,13 +195,11 @@ object PipelineRunner {
   def learnDetect(cands: Seq[(Long, Seq[(String, Array[Double])])],
                   truth: Map[Long, Option[String]], metrics: Seq[String],
                   seed: Long): (CombinedAgg, Array[Int], Double, Double) = {
-    val fi = EntitySimilarity.featureIndices(metrics)
-    val si = EntitySimilarity.scoreIndices(metrics)
-    val siWithin = si.map(fi.indexOf(_))
     val learn = cands.flatMap { case (k, fs) => truth.get(k).map(t => (k, fs, t)) }
-    val x = learn.flatMap { case (_, fs, _) => fs.map { case (_, f) => fi.map(f) } }
-    val y = learn.flatMap { case (_, fs, t) => fs.map { case (uri, _) => t.contains(uri) } }
-    val (_, _, agg) = Aggregators.train(x.toArray, y.toArray, siWithin, seed)
+    val (agg, fi) = EntitySimilarity.train(
+      learn.flatMap { case (_, fs, _) => fs.map(_._2) },
+      learn.flatMap { case (_, fs, t) => fs.map { case (uri, _) => t.contains(uri) } },
+      metrics, seed)
     val (tn, tm) = NewDetector.learnThresholds(learn.map { case (k, fs, t) =>
       (k, NewDetector.scores(fs, agg, fi), t)
     })

@@ -5,7 +5,6 @@ import repro.clustering.{PairFeature, RowProfile, RowSimilarity}
 import repro.core.{Pipeline, PipelineRunner}
 import repro.fusion.{Entity, EntityCreation, FusionScoring, Voting}
 import repro.kb.KnowledgeBase
-import repro.learn.CombinedAgg
 import repro.matching.{AttributeMatcher, Keys}
 import repro.newdetect.EntitySimilarity
 import repro.world._
@@ -61,23 +60,25 @@ object Experiment {
     lazy val corr1: Map[Long, (String, Double)] =
       pipe.attrCorrespondences(pipe.attrFeatures1, attrModel1)
 
+    private val profDSCache = scala.collection.mutable.Map.empty[String, Dataset[RowProfile]]
     private val profCache = scala.collection.mutable.Map.empty[String, Seq[RowProfile]]
     private val pairCache = scala.collection.mutable.Map.empty[String, (Dataset[PairFeature], Map[Long, Long])]
     private val goldPairCache = scala.collection.mutable.Map.empty[String, Seq[PairFeature]]
 
+    /** Iteration-1 profiles of a class (materialized Dataset; memoized).
+      * Stages read this Dataset, not a Dataset rebuilt from [[profiles1]],
+      * which would ship every profile inside each task.
+      */
+    def profilesDS1(cls: String): Dataset[RowProfile] =
+      profDSCache.getOrElseUpdate(cls, pipe.profiles(cls, corr1.map { case (k, v) => k -> v._1 }))
+
     /** Iteration-1 profiles of a class (collected; memoized). */
     def profiles1(cls: String): Seq[RowProfile] =
-      profCache.getOrElseUpdate(cls, {
-        pipe.profiles(cls, corr1.map { case (k, v) => k -> v._1 }).collect().toSeq
-      })
+      profCache.getOrElseUpdate(cls, profilesDS1(cls).collect().toSeq)
 
-    /** Iteration-1 pair features (cached Dataset) + components (memoized). */
+    /** Iteration-1 pair features (materialized Dataset) + components (memoized). */
     def pairStage1(cls: String): (Dataset[PairFeature], Map[Long, Long]) =
-      pairCache.getOrElseUpdate(cls, {
-        import spark.implicits._
-        val profDS: Dataset[RowProfile] = profiles1(cls).toDS()
-        pipe.pairStage(profDS)
-      })
+      pairCache.getOrElseUpdate(cls, pipe.pairStage(profilesDS1(cls)))
 
     /** Iteration-1 pair features restricted to gold rows (collected — this
       * is the learning input and stays small), sorted by pair, as learning
@@ -140,11 +141,9 @@ object Experiment {
     * profiles and pair stage.
     */
   def iteration1(ctx: Ctx, cls: String, models: repro.core.ClassModels,
-                 scoring: FusionScoring): repro.core.ClassRun = {
-    import ctx.spark.implicits._
-    PipelineRunner.runIteration(ctx.pipe, cls, ctx.corr1, ctx.profiles1(cls).toDS(),
+                 scoring: FusionScoring): repro.core.ClassRun =
+    PipelineRunner.runIteration(ctx.pipe, cls, ctx.corr1, ctx.profilesDS1(cls),
                                 ctx.pairStage1(cls), models, scoring)
-  }
 
   /** Full two-iteration system run for one class: iteration 1 with the
     * iteration-1 attribute model, then learn the iteration-2 attribute model
@@ -160,14 +159,5 @@ object Experiment {
     val corr2 = pipe.attrCorrespondences(feats2, attr2)
     val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 })
     PipelineRunner.runIteration(pipe, cls, corr2, prof2, pipe.pairStage(prof2), models, scoring)
-  }
-
-  /** Combined importances (average of weighted-average weights and RF
-    * importances) mapped onto metric names. `metricsWithIdx` carries each
-    * metric's score-feature index; importances are ordered by that index.
-    */
-  def metricImportances(agg: CombinedAgg, metricsWithIdx: Seq[(String, Int)]): Map[String, Double] = {
-    val ordered = metricsWithIdx.sortBy(_._2).map(_._1)
-    ordered.zip(agg.importances.toSeq).toMap
   }
 }

@@ -3,7 +3,7 @@ package repro.newdetect
 import repro.core.{DataType, TextSim, TypeSim, Values}
 import repro.fusion.Entity
 import repro.kb.KBInstanceLocal
-import repro.learn.Aggregator
+import repro.learn.{Aggregator, MetricLayout}
 
 /** Classification outcome for one created entity (paper Section 3.4):
   * below the lower threshold it is new; above the upper threshold it is
@@ -18,17 +18,9 @@ case object Undecided extends Detection
   *   0 LABEL, 1 TYPE, 2 BOW, 3 ATTRIBUTE, 4 attrConf,
   *   5 IMPLICIT_ATT, 6 implConf, 7 POPULARITY
   */
-object EntitySimilarity {
-  val metricNames: Seq[String] = Seq("LABEL", "TYPE", "BOW", "ATTRIBUTE", "IMPLICIT_ATT", "POPULARITY")
-  val dim = 8
-  val metricIdx: Map[String, (Int, Option[Int])] = Map(
-    "LABEL" -> (0, None), "TYPE" -> (1, None), "BOW" -> (2, None),
-    "ATTRIBUTE" -> (3, Some(4)), "IMPLICIT_ATT" -> (5, Some(6)), "POPULARITY" -> (7, None))
-
-  def featureIndices(metrics: Seq[String]): Array[Int] =
-    metrics.flatMap { m => val (s, c) = metricIdx(m); s +: c.toSeq }.toArray.sorted
-  def scoreIndices(metrics: Seq[String]): Array[Int] =
-    metrics.map(m => metricIdx(m)._1).toArray.sorted
+object EntitySimilarity extends MetricLayout(Seq(
+    "LABEL" -> false, "TYPE" -> false, "BOW" -> false,
+    "ATTRIBUTE" -> true, "IMPLICIT_ATT" -> true, "POPULARITY" -> false)) {
 
   /** Features for one (entity, candidate) pair. `popScore` is computed per
     * candidate set (rank-based) and passed in.

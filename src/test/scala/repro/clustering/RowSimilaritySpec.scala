@@ -2,6 +2,8 @@ package repro.clustering
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.DataType
+import repro.learn.MetricLayout
+import repro.newdetect.EntitySimilarity
 
 /** Unit tests for the six row-similarity metrics on hand-built profiles. */
 class RowSimilaritySpec extends AnyFunSuite {
@@ -75,8 +77,13 @@ class RowSimilaritySpec extends AnyFunSuite {
     f1.indices.foreach(i => assert(math.abs(f1(i) - f2(i)) < 1e-9, s"feature $i"))
   }
   test("featureIndices includes confidences, scoreIndices does not") {
-    assert(RowSimilarity.featureIndices(Seq("ATTRIBUTE")).toSeq == Seq(3, 4))
-    assert(RowSimilarity.scoreIndices(Seq("ATTRIBUTE")).toSeq == Seq(3))
-    assert(RowSimilarity.featureIndices(RowSimilarity.metricNames).length == RowSimilarity.dim)
+    Seq[MetricLayout](RowSimilarity, EntitySimilarity).foreach { layout =>
+      assert(layout.featureIndices(Seq("ATTRIBUTE")).toSeq == Seq(3, 4))
+      assert(layout.scoreIndices(Seq("ATTRIBUTE")).toSeq == Seq(3))
+      assert(layout.featureIndices(layout.metricNames).length == layout.dim)
+      assert(layout.dim == 8)
+      assert(layout.metricIdx("IMPLICIT_ATT") == (5, Some(6)))
+      assert(layout.metricIdx(layout.metricNames.last) == (7, None))
+    }
   }
 }
