@@ -14,14 +14,15 @@ object JobSetup {
     case _       => None
   }
 
-  /** The experiment context of a scale in a new SparkSession. An unknown
-    * scale exits with status 2 and the job's usage line.
+  /** The experiment context of a scale in a new SparkSession, logging at
+    * WARN. An unknown scale exits with status 2 and the job's usage line.
     */
   def context(appName: String, scale: String, usage: String): Experiment.Ctx =
     configs(scale) match {
       case Some((w, c)) =>
         val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
           .appName(appName).getOrCreate()
+        spark.sparkContext.setLogLevel("WARN")
         Experiment.build(spark, w, c)
       case None =>
         Console.err.println(s"unknown scale '$scale' (expected test or bench)\nUsage: $usage")

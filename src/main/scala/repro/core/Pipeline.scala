@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.expressions.Window
 import repro.clustering._
 import repro.fusion._
 import repro.kb.{KBInstanceLocal, KnowledgeBase}
@@ -80,26 +81,13 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
     * KB fact of the row's best label-candidate instance.
     */
   def columnTrust(attrCorr: Map[Long, String]): Map[Long, Double] = {
-    val factsByUriB = spark.sparkContext.broadcast(kb.factsByUri)
-    val attrB = spark.sparkContext.broadcast(attrCorr)
-    val schemaB = spark.sparkContext.broadcast(kb.propertyTypes)
     val top1 = rowCands.withColumn("rk", row_number().over(
-        org.apache.spark.sql.expressions.Window
-          .partitionBy($"tableId", $"rowId").orderBy($"labelSim".desc, $"uri")))
+        Window.partitionBy($"tableId", $"rowId").orderBy($"labelSim".desc, $"uri")))
       .filter($"rk" === 1).select($"tableId", $"rowId", $"uri")
-    cells.join(top1, Seq("tableId", "rowId"))
-      .select($"tableId", $"colId", $"rowId", $"raw", $"uri")
-      .as[(Long, Int, Int, String, String)]
-      .flatMap { case (t, c, _, raw, uri) =>
-        for {
-          prop <- attrB.value.get(Keys.colKey(t, c))
-          fact <- factsByUriB.value.get(uri).flatMap(_.get(prop))
-          dt   <- schemaB.value.get(prop)
-        } yield (Keys.colKey(t, c), TypeSim.equal(dt, raw, fact))
-      }
-      .groupByKey(_._1).mapGroups { (ck, it) =>
-        val xs = it.map(_._2).toSeq; (ck, xs.count(identity).toDouble / xs.size)
-      }.collect().toMap
+    val mapped = cells.join(AttributeMatcher.mappingDF(spark, attrCorr), Seq("tableId", "colId"))
+    Duplicates.kbFacts(mapped, top1, kb)
+      .groupBy($"tableId", $"colId").agg(avg($"equal".cast("double")))
+      .collect().map(r => Keys.colKey(r.getLong(0), r.getInt(1)) -> r.getDouble(2)).toMap
   }
 
   /** Entity creation for one class. */

@@ -1,11 +1,12 @@
 package repro.eval
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.clustering.{ClusteringEval, GreedyClusterer, RowSimilarity}
-import repro.core.{ClassModels, ClassRun, DataType, PipelineRunner, TypeSim}
+import repro.clustering.{ClusteringEval, RowSimilarity}
+import repro.core.{ClassModels, ClassRun, PipelineRunner}
 import repro.fusion.{Entity, EntityCreation, FusionScoring, KBT, Matching, Voting}
 import repro.learn.MetricLayout
-import repro.matching.{AttributeMatcher, Keys}
+import repro.matching.{AttributeMatcher, Duplicates, Keys}
 import repro.newdetect.{DetectedExisting, DetectedNew, Detection, EntitySimilarity, NewDetector}
 import repro.world.Schemas
 
@@ -85,10 +86,10 @@ class Tables(val ctx: Experiment.Ctx) {
   lazy val table3: Table03 = {
     val spark = ctx.spark
     import spark.implicits._
-    val rowsPerTable = ctx.corpus.cellsDF(spark).select($"tableId", $"rowId").distinct()
+    val rowsPerTable = ctx.pipe.cells.select($"tableId", $"rowId").distinct()
       .groupBy($"tableId").agg(count(lit(1)) as "n")
-    val colsPerTable = ctx.corpus.columnsDF(spark).groupBy($"tableId").agg(count(lit(1)) as "n")
-    def dist(df: org.apache.spark.sql.DataFrame): Dist = {
+    val colsPerTable = ctx.pipe.columns.groupBy($"tableId").agg(count(lit(1)) as "n")
+    def dist(df: DataFrame): Dist = {
       val a = df.agg(avg($"n"), min($"n"), max($"n")).head()
       val med = df.stat.approxQuantile("n", Array(0.5), 0.0).head
       Dist(a.getDouble(0), med, a.getLong(1), a.getLong(2))
@@ -96,36 +97,27 @@ class Tables(val ctx: Experiment.Ctx) {
     Table03(dist(rowsPerTable), dist(colsPerTable))
   }
 
+  /** Tables with an iteration-1 correspondence, and the values of their
+    * mapped columns in rows with candidate instances (the paper profiles
+    * values "matched to existing instances"): matched when some candidate
+    * holds an equal fact, as in the paper's duplicate-based matching.
+    */
   lazy val table4: Table04 = {
-    val predicted = ctx.pipe.tableClass.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
-    val corr = ctx.corr1 // iteration-1 attribute correspondences
-    val matchedCols = corr.keySet
-    // rows matched to existing instances: every label candidate may donate
-    // the fact (the paper's duplicate-based matching works the same way)
-    val cands = ctx.pipe.rowCands.collect()
-      .map(r => ((r.getLong(0), r.getInt(1)), r.getString(2)))
-      .groupBy(_._1).map { case (k, xs) => k -> xs.map(_._2) }
-    Table04(classes.map { cls =>
-      val clsTables = predicted.filter(_._2 == cls).keySet
-      val matchedTables = clsTables.filter(t => matchedCols.exists(Keys.colOf(_)._1 == t))
-      var vMatched = 0L; var vUnmatched = 0L
-      ctx.corpus.cells.foreach { c =>
-        val ck = Keys.colKey(c.tableId, c.colId)
-        if (matchedTables.contains(c.tableId) && matchedCols.contains(ck)) {
-          // count only values of rows that matched candidate instances —
-          // the paper profiles values "matched to existing instances"
-          cands.get((c.tableId, c.rowId)).foreach { uris =>
-            val prop = corr(ck)._1
-            val dt = ctx.schema.getOrElse(prop, DataType.Text)
-            val eq = uris.exists { u =>
-              ctx.kb.factsByUri.get(u).flatMap(_.get(prop)).exists(f => TypeSim.equal(dt, c.raw, f))
-            }
-            if (eq) vMatched += 1 else vUnmatched += 1
-          }
-        }
-      }
-      CorpusMatch(cls, matchedTables.size, vMatched, vUnmatched)
-    })
+    val spark = ctx.spark
+    import spark.implicits._
+    val pipe = ctx.pipe
+    val mapping = AttributeMatcher.mappingDF(spark, ctx.corr1.map { case (k, v) => k -> v._1 })
+      .join(pipe.tableClass.select($"tableId", $"cls"), "tableId")
+    val cands = pipe.rowCands.select($"tableId", $"rowId", $"uri")
+    val values = pipe.cells.join(mapping, Seq("tableId", "colId"))
+      .join(cands.select($"tableId", $"rowId").distinct(), Seq("tableId", "rowId"))
+    val matched = Duplicates.kbFacts(values, cands, ctx.kb).filter($"equal")
+      .select($"tableId", $"rowId", $"colId", $"cls").distinct()
+    def perClass(df: DataFrame): String => Long =
+      df.groupBy($"cls").count().as[(String, Long)].collect().toMap.withDefaultValue(0L)
+    val (tables, nValues, nMatched) =
+      (perClass(mapping.select($"tableId", $"cls").distinct()), perClass(values), perClass(matched))
+    Table04(classes.map(c => CorpusMatch(c, tables(c).toInt, nMatched(c), nValues(c) - nMatched(c))))
   }
 
   lazy val table5: Table05 = {
@@ -149,7 +141,7 @@ class Tables(val ctx: Experiment.Ctx) {
     val goldTables = ctx.gold.tableIds.toSeq.sorted
     val testTables = goldTables.zipWithIndex.collect { case (t, i) if i % 3 == 2 => t }.toSet
     val learnTables = goldTables.toSet -- testTables
-    def evalModel(feats: org.apache.spark.sql.DataFrame): Metrics.PRF = {
+    def evalModel(feats: DataFrame): Metrics.PRF = {
       val model = AttributeMatcher.learn(ctx.spark, feats, ctx.goldAttrMap, learnTables)
       val corr = ctx.pipe.attrCorrespondences(feats, model)
       val predicted = corr.toSeq.map { case (ck, (p, _)) => (Keys.colOf(ck), p) }
@@ -175,15 +167,14 @@ class Tables(val ctx: Experiment.Ctx) {
     val subComps = comps.filter { case (_, c) => goldComps.contains(c) }
     val keepRows = subComps.keySet
     val subPairs = pairDS.filter(p => keepRows.contains(p.a) && keepRows.contains(p.b)).cache()
-    folds.flatMap { fold =>
+    val clsFolds = folds.flatMap { fold =>
       val testClusters = testFoldClusters(cls, fold)
       val learnRows = ctx.goldRowCluster.filter { case (_, g) => !testClusters.contains(g) }.keySet
       val testRows = ctx.goldRowCluster.filter { case (_, g) => testClusters.contains(g) }.keySet
       stacks(RowSimilarity).map { stack =>
         val (agg, fi) = PipelineRunner.learnClusterAgg(
           goldPairs, ctx.goldRowCluster, learnRows, stack, seed = 5 + fold)
-        val edges = GreedyClusterer.scoreEdges(ctx.spark, subPairs, agg, fi)
-        val assigned = GreedyClusterer.cluster(ctx.spark, edges, subComps)
+        val assigned = ctx.pipe.cluster(subPairs, subComps, agg, fi)
         val res = ClusteringEval.evaluate(
           assigned.filter { case (rk, _) => testRows.contains(rk) },
           ctx.goldRowCluster.filter { case (rk, _) => testRows.contains(rk) })
@@ -191,6 +182,8 @@ class Tables(val ctx: Experiment.Ctx) {
                      RowSimilarity.importances(agg, stack))
       }
     }
+    subPairs.unpersist()
+    clsFolds
   })
 
   /** New detection per cumulative metric stack on entities created from the

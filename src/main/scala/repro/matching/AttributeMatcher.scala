@@ -3,7 +3,7 @@ package repro.matching
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
-import repro.core.{DataType, TextSim, TypeSim, Values}
+import repro.core.{DataType, Pipeline, TextSim, Values}
 import repro.kb.KnowledgeBase
 import repro.learn.Genetic
 
@@ -15,9 +15,10 @@ object Keys {
 
   def rowKey(tableId: Long, rowId: Int): Long = tableId * RowsPerTable + rowId
   def colKey(tableId: Long, colId: Int): Long = tableId * ColsPerTable + colId
-  def tableOfRow(rowKey: Long): Long = rowKey / RowsPerTable
   /** (tableId, colId) of a column key: the inverse of [[colKey]]. */
   def colOf(colKey: Long): (Long, Int) = (colKey / ColsPerTable, (colKey % ColsPerTable).toInt)
+  /** (tableId, rowId) of a row key: the inverse of [[rowKey]]. */
+  def rowOf(rowKey: Long): (Long, Int) = (rowKey / RowsPerTable, (rowKey % RowsPerTable).toInt)
 
   /** Rejects ids outside the packable ranges: such a row or column would
     * share its key with one of another table.
@@ -127,12 +128,12 @@ object AttributeMatcher {
       candidateTypes(detected).contains(dtName))
     val cands = colBase.join(schemaDF, Seq("cls"))
       .filter(compatible($"detectedType", $"dataTypeName"))
-      .select($"tableId", $"colId", $"header", $"cls", $"property", $"dataTypeName")
+      .select($"tableId", $"colId", $"header", $"cls", $"property")
 
     // ---- KB-Label: header vs KB property labels --------------------------
     val propLabelsB = spark.sparkContext.broadcast(propertyLabels)
     val kbLabelUdf = udf((header: String, property: String) => {
-      val ls = propLabelsB.value.getOrElse(property, Seq(property))
+      val ls = propLabelsB.value.get(property).filter(_.nonEmpty).getOrElse(Seq(property))
       ls.map(l => TextSim.mongeElkan(Values.normalize(header), l)).max
     })
 
@@ -141,74 +142,63 @@ object AttributeMatcher {
     val overlapUdf = udf((cls: String, property: String, raw: String) =>
       profilesB.value.get((cls, property)).map(p => overlapFit(p, raw)).getOrElse(0.0))
 
-    // ---- KB-Duplicate: cell equals the KB fact of the row's instance -----
-    val factsByUriB = spark.sparkContext.broadcast(kb.factsByUri)
-    val rowInstanceB = spark.sparkContext.broadcast(prior.map(_.rowInstance).getOrElse(Map.empty[Long, String]))
-    val kbDupUdf = udf((tableId: Long, rowId: Int, property: String, dtName: String, raw: String) => {
-      val res = for {
-        uri  <- rowInstanceB.value.get(Keys.rowKey(tableId, rowId))
-        fact <- factsByUriB.value.get(uri).flatMap(_.get(property))
-      } yield if (TypeSim.equal(DataType.fromName(dtName), raw, fact)) 1.0 else 0.0
-      res.map(Double.box).orNull: java.lang.Double
-    })
-
-    // ---- WT-Label: header->property statistics from the preliminary map --
-    val wtLabelMap: Map[String, Map[String, Double]] = prior match {
-      case None => Map.empty
-      case Some(p) =>
-        val headerByCol = columns.select($"tableId", $"colId", $"header").collect()
-          .map(r => Keys.colKey(r.getLong(0), r.getInt(1)) -> Values.normalize(r.getString(2))).toMap
-        val pairs = p.prelimAttr.toSeq.flatMap { case (ck, prop) =>
-          headerByCol.get(ck).map(h => (h, prop))
-        }
-        pairs.groupBy(_._1).map { case (h, ps) =>
-          val total = ps.size.toDouble
-          h -> ps.groupBy(_._2).map { case (prop, xs) => prop -> xs.size / total }
-        }
-    }
-    val wtLabelB = spark.sparkContext.broadcast(wtLabelMap)
-    val wtLabelUdf = udf((header: String, property: String) =>
-      wtLabelB.value.get(Values.normalize(header)).flatMap(_.get(property)).getOrElse(0.0))
-
-    // ---- WT-Duplicate: equal value for the same (cluster, property) in a
-    // different table, via the preliminary mapping ---------------------------
-    val wtDupMap: Map[(Long, String), Seq[(Long, String)]] = prior match {
-      case None => Map.empty
-      case Some(p) =>
-        cells.collect().iterator.flatMap { r =>
-          val (t, row, c, raw) = (r.getLong(0), r.getInt(1), r.getInt(2), r.getString(3))
-          for {
-            prop    <- p.prelimAttr.get(Keys.colKey(t, c))
-            cluster <- p.rowCluster.get(Keys.rowKey(t, row))
-          } yield ((cluster, prop), (t, raw))
-        }.toSeq.groupBy(_._1).map { case (k, xs) => k -> xs.map(_._2) }
-    }
-    val wtDupB = spark.sparkContext.broadcast(wtDupMap)
-    val rowClusterB = spark.sparkContext.broadcast(prior.map(_.rowCluster).getOrElse(Map.empty[Long, Long]))
-    val wtDupUdf = udf((tableId: Long, rowId: Int, property: String, dtName: String, raw: String) => {
-      val res = rowClusterB.value.get(Keys.rowKey(tableId, rowId)).flatMap { cluster =>
-        val others = wtDupB.value.getOrElse((cluster, property), Nil).filter(_._1 != tableId)
-        if (others.isEmpty) None
-        else Some(if (others.exists { case (_, v) =>
-          TypeSim.equal(DataType.fromName(dtName), raw, v) }) 1.0 else 0.0)
-      }
-      res.map(Double.box).orNull: java.lang.Double
-    })
-
-    // ---- per-cell scores, averaged per (column, property) ----------------
     val cellCands = cells.join(cands, Seq("tableId", "colId"))
-    cellCands
       .withColumn("ovl", overlapUdf($"cls", $"property", $"raw"))
-      .withColumn("dup", kbDupUdf($"tableId", $"rowId", $"property", $"dataTypeName", $"raw"))
-      .withColumn("wtd", wtDupUdf($"tableId", $"rowId", $"property", $"dataTypeName", $"raw"))
-      .groupBy($"tableId", $"colId", $"header", $"cls", $"property")
-      .agg(avg($"ovl") as "kbOverlap",
-           coalesce(avg($"dup"), lit(0.0)) as "kbDuplicate",
-           coalesce(avg($"wtd"), lit(0.0)) as "wtDuplicate")
-      .withColumn("kbLabel", kbLabelUdf($"header", $"property"))
-      .withColumn("wtLabel", wtLabelUdf($"header", $"property"))
+    val colCands = Seq($"tableId", $"colId", $"header", $"cls", $"property")
+    val scored = prior match {
+      // without a prior the duplicate-based matchers have nothing to compare
+      case None =>
+        cellCands.groupBy(colCands: _*).agg(avg($"ovl") as "kbOverlap",
+          lit(0.0) as "kbDuplicate", lit(0.0) as "wtLabel", lit(0.0) as "wtDuplicate")
+      case Some(p) =>
+        // read by both duplicate matchers and by the averages
+        val candCells = Pipeline.materialize(cellCands)
+        def byRow[T](m: Map[Long, T]) = m.toSeq.map { case (rk, v) => val (t, r) = Keys.rowOf(rk); (t, r, v) }
+        val rowCluster = byRow(p.rowCluster).toDF("tableId", "rowId", "cluster")
+        val prelim = mappingDF(spark, p.prelimAttr)
+        val cellKey = Seq("tableId", "colId", "rowId", "property")
+
+        // KB-Duplicate: cell equals the KB fact of the row's instance
+        val kbDup = Duplicates.kbFacts(candCells, byRow(p.rowInstance).toDF("tableId", "rowId", "uri"), kb)
+          .select((cellKey.map(col) :+ ($"equal".cast("double") as "dup")): _*)
+
+        // WT-Duplicate: cell equals a value of the same (cluster, property)
+        // in another table, under the preliminary mapping
+        val mapped = cells.join(prelim, Seq("tableId", "colId")).join(rowCluster, Seq("tableId", "rowId"))
+          .select($"cluster", $"property", $"tableId" as "otherTable", $"raw" as "otherRaw")
+        val wtDup = candCells.join(rowCluster, Seq("tableId", "rowId"))
+          .join(mapped, Seq("cluster", "property"))
+          .filter($"otherTable" =!= $"tableId")
+          .groupBy(cellKey.map(col): _*)
+          .agg(max(Duplicates.equal(kb.propertyTypes, $"property", $"raw", $"otherRaw").cast("double")) as "wtd")
+
+        // WT-Label: share of the preliminary mapping's columns with this
+        // header that map to the property
+        val norm = udf((s: String) => Values.normalize(s))
+        val wtLabel = prelim.join(columns.select($"tableId", $"colId", $"header"), Seq("tableId", "colId"))
+          .groupBy(norm($"header") as "normHeader", $"property").agg(count(lit(1)) as "n")
+          .select($"normHeader", $"property",
+                  $"n" / sum($"n").over(Window.partitionBy($"normHeader")) as "wtLabel")
+
+        candCells.join(kbDup, cellKey, "left").join(wtDup, cellKey, "left")
+          .groupBy(colCands: _*)
+          .agg(avg($"ovl") as "kbOverlap",
+               coalesce(avg($"dup"), lit(0.0)) as "kbDuplicate",
+               coalesce(avg($"wtd"), lit(0.0)) as "wtDuplicate")
+          .withColumn("normHeader", norm($"header"))
+          .join(wtLabel, Seq("normHeader", "property"), "left")
+          .na.fill(0.0, Seq("wtLabel"))
+    }
+    scored.withColumn("kbLabel", kbLabelUdf($"header", $"property"))
       .select($"tableId", $"colId", $"cls", $"property",
               $"kbOverlap", $"kbLabel", $"kbDuplicate", $"wtLabel", $"wtDuplicate")
+  }
+
+  /** A column mapping colKey -> property as (tableId, colId, property). */
+  def mappingDF(spark: SparkSession, mapping: Map[Long, String]): DataFrame = {
+    import spark.implicits._
+    mapping.toSeq.map { case (ck, p) => val (t, c) = Keys.colOf(ck); (t, c, p) }
+      .toDF("tableId", "colId", "property")
   }
 
   /** Learned parameters: per-class matcher weights + per-property thresholds. */

@@ -3,7 +3,7 @@ package repro.matching
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
-import repro.core.{DataType, Pipeline, TextSim, TypeSim, Values}
+import repro.core.{Pipeline, TextSim, Values}
 import repro.kb.KnowledgeBase
 
 /** Table-to-class matching (paper Section 3.1, after Ritze et al.):
@@ -83,20 +83,14 @@ object TableClassMatcher {
     val rowScore = cands.groupBy(col("tableId"), col("cls"))
       .agg(countDistinct(col("rowId")) as "rowScore")
 
-    // (2) duplicate-based column score: cell == candidate-instance fact
-    val schemaMap = kb.schema.map(p => (p.cls, p.property) -> p.dataTypeName).toMap
-    val eqUdf = udf((cls: String, prop: String, a: String, b: String) =>
-      schemaMap.get((cls, prop)).exists(dt => TypeSim.equal(DataType.fromName(dt), a, b)))
-
+    // (2) duplicate-based column score: cells equal to a candidate's fact
     val nonLabelCells = cells.join(
       labelCols.withColumnRenamed("labelColId", "labelCol"), Seq("tableId"))
       .filter(col("colId") =!= col("labelCol"))
       .select(col("tableId"), col("rowId"), col("colId"), col("raw"))
 
-    val dupMatches = cands
-      .join(kb.facts, "uri")
-      .join(nonLabelCells, Seq("tableId", "rowId"))
-      .filter(eqUdf(col("cls"), col("property"), col("raw"), col("value")))
+    val dupMatches = Duplicates.kbFacts(nonLabelCells, cands, kb)
+      .filter(col("equal"))
       .groupBy(col("tableId"), col("cls"), col("colId"), col("property"))
       .agg(count(lit(1)) as "cnt")
       .groupBy(col("tableId"), col("cls"), col("colId"))

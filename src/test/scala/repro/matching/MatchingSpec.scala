@@ -1,7 +1,7 @@
 package repro.matching
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestWorld}
+import repro.{Oracle, SparkSpec, TestWorld}
 import repro.core.DataType
 import repro.eval.Experiment
 import repro.world.{Schemas, TableCellRec}
@@ -80,12 +80,47 @@ class MatchingSpec extends SparkSpec {
     assert(recall > 0.6, s"candidate recall $recall")
   }
 
+  test("table classes equal DuckDB's ranking of row and duplicate scores") {
+    val pipe = ctx.pipe
+    val nonLabelCells = pipe.cells.join(pipe.labelCols, "tableId").filter($"colId" =!= $"labelColId")
+      .select($"tableId", $"rowId", $"colId", $"raw")
+    val dups = Duplicates.kbFacts(nonLabelCells, pipe.rowCands, ctx.kb).filter($"equal")
+    Oracle.assertEquivalent(pipe.tableClass,
+      """WITH rs AS (SELECT tableId, cls, COUNT(DISTINCT rowId) AS rowScore
+        |            FROM cands GROUP BY tableId, cls),
+        |     cc AS (SELECT tableId, cls, colId, COUNT(*) AS cnt
+        |            FROM dups GROUP BY tableId, cls, colId, property),
+        |     cb AS (SELECT tableId, cls, colId, MAX(cnt) AS colBest
+        |            FROM cc GROUP BY tableId, cls, colId),
+        |     ats AS (SELECT tableId, cls, SUM(colBest) AS attrScore FROM cb GROUP BY tableId, cls),
+        |     sc AS (SELECT tableId, cls, CAST(rowScore + COALESCE(attrScore, 0) AS BIGINT) AS score
+        |            FROM rs LEFT JOIN ats USING (tableId, cls)),
+        |     rk AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY tableId ORDER BY score DESC, cls) AS r
+        |            FROM sc)
+        |SELECT tableId, cls, score FROM rk WHERE r = 1""".stripMargin,
+      "cands" -> pipe.rowCands.select($"tableId", $"rowId", $"cls"),
+      "dups" -> dups.select($"tableId", $"cls", $"colId", $"property"))
+  }
+
   // ---- attribute-to-property matching ------------------------------------------------
   test("iteration-1 attribute matching clears a minimum F1 on gold tables") {
     val corr = ctx.corr1.toSeq.map { case (ck, (p, _)) => (Keys.colOf(ck), p) }
     val (pr, rc, f1) = AttributeMatcher.evaluate(corr, ctx.goldAttrMap, ctx.gold.tableIds)
     assert(f1 > 0.5, s"iteration-1 attr F1 too low: P=$pr R=$rc F1=$f1")
     assert(pr > 0.6, s"iteration-1 attr precision too low: $pr")
+  }
+
+  test("KB-Label matches a property with an empty label list on its name") {
+    val pipe = ctx.pipe
+    val tables = pipe.tableClass.filter($"cls" === Schemas.GFPlayer).orderBy($"tableId").limit(5)
+    def kbLabel(labels: Map[String, Seq[String]]): Map[(Long, Int), Double] =
+      AttributeMatcher.features(spark, pipe.cells, pipe.columns, pipe.detectedTypes, pipe.labelCols,
+                                tables, ctx.kb, labels, None)
+        .filter($"property" === "team").select($"tableId", $"colId", $"kbLabel").collect()
+        .map(r => (r.getLong(0), r.getInt(1)) -> r.getDouble(2)).toMap
+    val empty = kbLabel(Schemas.kbPropertyLabels + ("team" -> Nil))
+    assert(empty.nonEmpty)
+    assert(empty == kbLabel(Schemas.kbPropertyLabels - "team"))
   }
 
   test("candidate types block by detected type") {
@@ -108,9 +143,9 @@ class MatchingSpec extends SparkSpec {
 
   test("Keys round-trip table/row/col identifiers") {
     assert(Keys.rowKey(42L, 7) == 4200007L)
-    assert(Keys.tableOfRow(Keys.rowKey(42L, 7)) == 42L)
     assert(Keys.colKey(42L, 3) == 42003L)
     assert(Keys.colOf(Keys.colKey(42L, 3)) == ((42L, 3)))
+    assert(Keys.rowOf(Keys.rowKey(42L, 7)) == ((42L, 7)))
   }
 
   private def oversized(cell: TableCellRec => TableCellRec): IllegalArgumentException = {
