@@ -2,7 +2,7 @@ package repro.clustering
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Pipeline, TextSim, Values}
+import repro.core.{DataType, Pipeline, TextSim, TypeSim, Values}
 import repro.kb.KnowledgeBase
 import repro.matching.Keys
 
@@ -21,13 +21,45 @@ case class RowProfile(rowKey: Long, tableId: Long, cls: String,
 
 object RowProfiles {
   /** Separator inside implicit-attribute keys. */
-  val Sep = "|"
+  private val Sep = "|"
   /** Keep a table-level implicit property-value combination only when at
     * least this fraction of rows supports it (paper: "a certain threshold").
     */
   val implicitThreshold = 0.5
   /** Cap per-table PHI vector size. */
   val phiCap = 40
+
+  /** The implicit-attribute key of a property and a value. */
+  private def combo(property: String, value: String): String = property + Sep + Values.normalize(value)
+
+  /** A row's value of a property: its mapped value, else the value of its
+    * table's first implicit attribute with that property.
+    */
+  def valueOf(row: RowProfile, p: String): Option[String] =
+    row.values.get(p).orElse(
+      row.implicitAtts.keysIterator.find(_.startsWith(p + Sep)).map(_.substring(p.length + 1)))
+
+  /** IMPLICIT_ATT of rows and entities. Each implicit attribute whose property
+    * has a value under its side's lookup is compared; all sides add to one
+    * running sum. (agreeing / compared weight, compared weight), or (0, 0).
+    */
+  def implicitAgreement(schema: Map[String, DataType],
+                        sides: (Map[String, Double], String => Option[String])*): (Double, Double) = {
+    var sum = 0.0; var compared = 0.0
+    sides.foreach { case (combos, valueOf) =>
+      combos.foreach { case (key, w) =>
+        val i = key.indexOf(Sep)
+        if (i > 0) {
+          val p = key.substring(0, i)
+          valueOf(p).foreach { other =>
+            compared += w
+            if (TypeSim.equalFor(schema, p, key.substring(i + 1), other)) sum += w
+          }
+        }
+      }
+    }
+    if (compared > 0) (sum / compared, compared) else (0.0, 0.0)
+  }
 
   /** Build profiles for all rows of the given class.
     *
@@ -114,7 +146,7 @@ object RowProfiles {
       .as[(Long, Int, String)]
       .flatMap { case (t, r, uri) =>
         factsByUriB.value.getOrElse(uri, Map.empty[String, String]).map { case (p, v) =>
-          (t, r, p + Sep + Values.normalize(v))
+          (t, r, combo(p, v))
         }
       }.distinct().toDF("tableId", "rowId", "combo")
     val rowsPerTable = core.groupBy($"tableId").agg(count(lit(1)) as "nRows")
@@ -124,8 +156,8 @@ object RowProfiles {
       .withColumn("score", $"cnt" / $"nRows")
       .filter($"score" >= implicitThreshold)
       .groupBy($"tableId")
-      // Sorted: RowSimilarity's IMPLICIT_ATT takes the first key with a
-      // property's prefix, and small Scala maps keep insertion order.
+      // Sorted: valueOf takes the first key with a property's prefix, and
+      // small Scala maps keep insertion order.
       .agg(map_from_entries(sort_array(collect_list(struct($"combo", $"score")))) as "implicitAtts")
 
     core

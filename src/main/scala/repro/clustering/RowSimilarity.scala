@@ -25,37 +25,13 @@ object RowSimilarity extends MetricLayout(Seq(
     f(1) = TextSim.cosineBinary(a.tokens.toSet, b.tokens.toSet)
     f(2) = TextSim.cosineSparse(a.phi, b.phi)
 
-    // ATTRIBUTE: overlapping mapped values
-    val shared = a.values.keySet.intersect(b.values.keySet)
-    if (shared.nonEmpty) {
-      val eq = shared.toSeq.map { p =>
-        val dt = schema.getOrElse(p, DataType.Text)
-        if (TypeSim.equal(dt, a.values(p), b.values(p))) 1.0 else 0.0
-      }
-      f(3) = eq.sum / eq.size
-      f(4) = eq.size.toDouble
-    }
-
-    // IMPLICIT_ATT: compare a's table-level combos against b (both directions)
-    var implSum = 0.0; var implW = 0.0
-    def compare(x: RowProfile, y: RowProfile): Unit =
-      x.implicitAtts.foreach { case (combo, w) =>
-        val i = combo.indexOf(RowProfiles.Sep)
-        if (i > 0) {
-          val p = combo.substring(0, i); val v = combo.substring(i + 1)
-          val dt = schema.getOrElse(p, DataType.Text)
-          val other: Option[String] = y.values.get(p).orElse {
-            y.implicitAtts.keysIterator.find(_.startsWith(p + RowProfiles.Sep))
-              .map(_.substring(i + 1))
-          }
-          other.foreach { ov =>
-            implW += w
-            if (TypeSim.equal(dt, v, ov)) implSum += w
-          }
-        }
-      }
-    compare(a, b); compare(b, a)
-    if (implW > 0) { f(5) = implSum / implW; f(6) = implW }
+    val (attr, attrConf) = TypeSim.agreement(schema, a.values, b.values)
+    f(3) = attr; f(4) = attrConf
+    // IMPLICIT_ATT: each row's table-level combos against the other row
+    val (impl, implConf) = RowProfiles.implicitAgreement(schema,
+      (a.implicitAtts, p => RowProfiles.valueOf(b, p)),
+      (b.implicitAtts, p => RowProfiles.valueOf(a, p)))
+    f(5) = impl; f(6) = implConf
 
     f(7) = if (a.tableId == b.tableId) 0.0 else 1.0
     f

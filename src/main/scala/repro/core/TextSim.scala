@@ -34,9 +34,12 @@ object TextSim {
     if (m == 0) 1.0 else 1.0 - levenshtein(a, b).toDouble / m
   }
 
-  /** Whitespace/punctuation tokenization of a normalized string. */
+  /** Lowercase letter and digit runs; none for null. Normalizing first
+    * changes no token (DESIGN.md, "Normalization rule").
+    */
   def tokenize(s: String): Seq[String] =
-    s.toLowerCase.split("""[^\p{L}\p{N}]+""").filter(_.nonEmpty).toSeq
+    if (s == null) Seq.empty
+    else s.toLowerCase.split("""[^\p{L}\p{N}]+""").filter(_.nonEmpty).toSeq
 
   /** Monge-Elkan similarity with Levenshtein as inner similarity.
     * Symmetrized (average of both directions) so row order is irrelevant.
@@ -48,6 +51,10 @@ object TextSim {
       xs.map(x => ys.map(y => levenshteinSim(x, y)).max).sum / xs.size
     (oneWay(ta, tb) + oneWay(tb, ta)) / 2.0
   }
+
+  /** Best Monge-Elkan over all pairs of two label sets; 0 if one is empty. */
+  def maxMongeElkan(as: Seq[String], bs: Seq[String]): Double =
+    (for (a <- as; b <- bs) yield mongeElkan(a, b)).foldLeft(0.0)(math.max)
 
   /** Cosine similarity between binary term sets. */
   def cosineBinary(a: Set[String], b: Set[String]): Double = {

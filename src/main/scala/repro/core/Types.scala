@@ -92,12 +92,11 @@ object TypeSim {
 
   def sim(dt: DataType, a: String, b: String): Double = dt match {
     case DataType.Text =>
-      TextSim.mongeElkan(Values.normalize(a), Values.normalize(b))
+      TextSim.mongeElkan(a, b)
     case DataType.NominalString =>
       if (Values.normalize(a) == Values.normalize(b)) 1.0 else 0.0
     case DataType.InstanceRef =>
-      val s = TextSim.mongeElkan(Values.normalize(a), Values.normalize(b))
-      if (s >= textThreshold) 1.0 else 0.0
+      if (TextSim.mongeElkan(a, b) >= textThreshold) 1.0 else 0.0
     case DataType.Date =>
       (Values.parseDate(a), Values.parseDate(b)) match {
         case (Some((y1, m1, d1)), Some((y2, m2, d2))) =>
@@ -127,8 +126,21 @@ object TypeSim {
   def equal(dt: DataType, a: String, b: String): Boolean = dt match {
     case DataType.Text     => sim(dt, a, b) >= textThreshold
     case DataType.Quantity => sim(dt, a, b) >= 1.0 - quantityTolerance
-    case DataType.Date     => sim(dt, a, b) >= 1.0
     case _                 => sim(dt, a, b) >= 1.0
+  }
+
+  /** [[equal]] under the type of property `p`, Text when `p` is unknown. */
+  def equalFor(schema: Map[String, DataType], p: String, a: String, b: String): Boolean =
+    equal(schema.getOrElse(p, DataType.Text), a, b)
+
+  /** ATTRIBUTE of rows and entities: (share of equal values, count) over the
+    * shared properties of two property -> value maps; (0, 0) if none.
+    */
+  def agreement(schema: Map[String, DataType], a: Map[String, String],
+                b: Map[String, String]): (Double, Double) = {
+    val eq = a.keySet.intersect(b.keySet).toSeq
+      .map(p => if (equalFor(schema, p, a(p), b(p))) 1.0 else 0.0)
+    if (eq.isEmpty) (0.0, 0.0) else (eq.sum / eq.size, eq.size.toDouble)
   }
 
   /** Fuse a group of equal values into one fact (paper Section 3.3 step 4):

@@ -48,11 +48,8 @@ object Experiment {
     def goldClustersOf(cls: String): Seq[GoldCluster] = gold.clusters.filter(_.cls == cls)
 
     /** Rows of the tables matched to a class (paper Table 11's total rows). */
-    def classRows(cls: String): Long = {
-      val tables = pipe.classTables(cls).collect().map(_.getLong(0)).toSet
-      corpus.cells.filter(c => tables.contains(c.tableId)).map(c => (c.tableId, c.rowId))
-        .distinct.size.toLong
-    }
+    def classRows(cls: String): Long =
+      pipe.cells.join(pipe.classTables(cls), "tableId").select("tableId", "rowId").distinct().count()
 
     /** Iteration-1 attribute model learned on all gold tables. */
     lazy val attrModel1: AttributeMatcher.AttrModel =

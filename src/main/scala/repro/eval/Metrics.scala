@@ -92,7 +92,7 @@ object Metrics {
             e.facts.foreach { case (p, v) =>
               gf.get(p) match {
                 case Some(correct) =>
-                  if (TypeSim.equal(schema.getOrElse(p, DataType.Text), v, correct)) tp += 1
+                  if (TypeSim.equalFor(schema, p, v, correct)) tp += 1
                   else fp += 1
                 case None => // property outside the gold value groups (fused
                              // from bulk tables): out of the paper's protocol
@@ -176,7 +176,7 @@ object Metrics {
       entityGoldCluster(e, rowTruthEntity).foreach { id =>
         val truth = world.entityById(id).truth
         e.facts.foreach { case (p, v) =>
-          if (truth.get(p).exists(t => TypeSim.equal(schema.getOrElse(p, DataType.Text), v, t)))
+          if (truth.get(p).exists(t => TypeSim.equalFor(schema, p, v, t)))
             factsCorrect += 1
         }
       }

@@ -49,8 +49,6 @@ case class PriorOutputs(prelimAttr: Map[Long, String],
   */
 object AttributeMatcher {
 
-  val matcherNames: Seq[String] = Seq("kbOverlap", "kbLabel", "kbDuplicate", "wtLabel", "wtDuplicate")
-
   /** Type blocking: detected type -> admissible property data types. */
   def candidateTypes(detected: String): Seq[String] = detected match {
     case "text" => Seq(DataType.Text.name, DataType.InstanceRef.name, DataType.NominalString.name)
@@ -99,8 +97,6 @@ object AttributeMatcher {
         case Some((y, _, _)) => if (y >= profile.lo && y <= profile.hi) 1.0 else 0.0
         case None            => 0.0
       }
-    case "nominalInt" =>
-      if (profile.values.contains(Values.normalize(raw))) 1.0 else 0.0
     case _ =>
       if (profile.values.contains(Values.normalize(raw))) 1.0 else 0.0
   }
@@ -134,7 +130,7 @@ object AttributeMatcher {
     val propLabelsB = spark.sparkContext.broadcast(propertyLabels)
     val kbLabelUdf = udf((header: String, property: String) => {
       val ls = propLabelsB.value.get(property).filter(_.nonEmpty).getOrElse(Seq(property))
-      ls.map(l => TextSim.mongeElkan(Values.normalize(header), l)).max
+      ls.map(l => TextSim.mongeElkan(header, l)).max
     })
 
     // ---- KB-Overlap: cell fits the property's KB value profile -----------

@@ -1,6 +1,7 @@
 package repro.newdetect
 
-import repro.core.{DataType, TextSim, TypeSim, Values}
+import repro.clustering.RowProfiles
+import repro.core.{DataType, TextSim, TypeSim}
 import repro.fusion.Entity
 import repro.kb.KBInstanceLocal
 import repro.learn.{Aggregator, MetricLayout}
@@ -29,10 +30,7 @@ object EntitySimilarity extends MetricLayout(Seq(
                schema: Map[String, DataType],
                classParents: Map[String, Seq[String]]): Array[Double] = {
     val f = new Array[Double](dim)
-    val eLabels = e.labels.map(Values.normalize)
-    val iLabels = inst.labels.map(Values.normalize)
-    f(0) = (for (a <- eLabels; b <- iLabels) yield TextSim.mongeElkan(a, b))
-      .foldLeft(0.0)(math.max)
+    f(0) = TextSim.maxMongeElkan(e.labels, inst.labels)
 
     val eTypes = (e.cls +: classParents.getOrElse(e.cls, Nil)).toSet
     val iTypes = (inst.cls +: inst.parents).toSet
@@ -40,29 +38,10 @@ object EntitySimilarity extends MetricLayout(Seq(
 
     f(2) = TextSim.cosineBinary(e.tokens.toSet, inst.bow.toSet)
 
-    val shared = e.facts.keySet.intersect(inst.facts.keySet)
-    if (shared.nonEmpty) {
-      val eqs = shared.toSeq.map { p =>
-        val dt = schema.getOrElse(p, DataType.Text)
-        if (TypeSim.equal(dt, e.facts(p), inst.facts(p))) 1.0 else 0.0
-      }
-      f(3) = eqs.sum / eqs.size
-      f(4) = eqs.size.toDouble
-    }
-
-    var implSum = 0.0; var implW = 0.0
-    e.implicitAtts.foreach { case (combo, w) =>
-      val i = combo.indexOf(repro.clustering.RowProfiles.Sep)
-      if (i > 0) {
-        val p = combo.substring(0, i); val v = combo.substring(i + 1)
-        inst.facts.get(p).foreach { fv =>
-          implW += w
-          val dt = schema.getOrElse(p, DataType.Text)
-          if (TypeSim.equal(dt, v, fv)) implSum += w
-        }
-      }
-    }
-    if (implW > 0) { f(5) = implSum / implW; f(6) = implW }
+    val (attr, attrConf) = TypeSim.agreement(schema, e.facts, inst.facts)
+    f(3) = attr; f(4) = attrConf
+    val (impl, implConf) = RowProfiles.implicitAgreement(schema, (e.implicitAtts, inst.facts.get))
+    f(5) = impl; f(6) = implConf
 
     f(7) = popScore
     f
@@ -84,13 +63,13 @@ class CandidateSelector(instances: IndexedSeq[KBInstanceLocal],
   /** Normalized label token -> positions in `instances`. */
   val tokenIndex: Map[String, Seq[Int]] =
     instances.zipWithIndex.flatMap { case (inst, i) =>
-      inst.labels.flatMap(l => TextSim.tokenize(Values.normalize(l))).distinct.map(_ -> i)
+      inst.labels.flatMap(TextSim.tokenize).distinct.map(_ -> i)
     }.groupBy(_._1).map { case (t, xs) => t -> xs.map(_._2) }
 
   /** The entity's candidate instances with their feature vectors. */
   def features(e: Entity): Seq[(String, Array[Double])] = {
     val eTypes = (e.cls +: classParents.getOrElse(e.cls, Nil)).toSet
-    val tokens = e.labels.flatMap(l => TextSim.tokenize(Values.normalize(l))).distinct
+    val tokens = e.labels.flatMap(TextSim.tokenize).distinct
     val counts = scala.collection.mutable.Map.empty[Int, Int]
     tokens.foreach { t =>
       tokenIndex.getOrElse(t, Nil).foreach(i => counts(i) = counts.getOrElse(i, 0) + 1)
@@ -103,11 +82,7 @@ class CandidateSelector(instances: IndexedSeq[KBInstanceLocal],
       .sortBy { case (inst, c) => (-c, inst.uri) }
       .take(topK * 3)
       .map(_._1)
-      .filter { inst =>
-        val s = (for (a <- e.labels.map(Values.normalize); b <- inst.labels.map(Values.normalize))
-                 yield TextSim.mongeElkan(a, b)).foldLeft(0.0)(math.max)
-        s >= minCandLabelSim
-      }
+      .filter(inst => TextSim.maxMongeElkan(e.labels, inst.labels) >= minCandLabelSim)
       .take(topK)
     // popularity rank within the candidate set
     val ranked = cands.sortBy(c => (-c.popularity, c.uri)).zipWithIndex.toMap

@@ -39,7 +39,9 @@ class SmokeSpec extends SparkSpec {
 
   test("full pipeline run on GF-Player produces clusters, entities and detections") {
     val run = Experiment.fullRun(ctx, cls, models)
-    info(s"fullRun fingerprint ${RunFingerprint.sha256(run)}")
+    // The outputs pin: a change that alters outputs on purpose updates it.
+    assert(RunFingerprint.sha256(run) ==
+      "7983992b207d85b206c2601598ae8da863733cffadd33397b0b2aef851195c13")
 
     assert(run.clusters.nonEmpty, "clusters must not be empty")
     assert(run.entities.nonEmpty, "entities must not be empty")

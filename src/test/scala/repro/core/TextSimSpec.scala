@@ -83,6 +83,14 @@ class TextSimSpec extends AnyFunSuite {
     }
   }
 
+  test("tokenize of null gives no tokens") {
+    assert(TextSim.tokenize(null).isEmpty)
+  }
+  test("maxMongeElkan: best label pair, 0 when a set is empty") {
+    assert(TextSim.maxMongeElkan(Seq("Blue Dreams", "x"), Seq("red", "blue dreams")) == 1.0)
+    assert(TextSim.maxMongeElkan(Seq("blue"), Nil) == 0.0)
+  }
+
   test("cosineBinary: identical sets -> 1, disjoint -> 0") {
     assert(math.abs(TextSim.cosineBinary(Set("a", "b"), Set("a", "b")) - 1.0) < 1e-12)
     assert(TextSim.cosineBinary(Set("a"), Set("b")) == 0.0)

@@ -78,6 +78,12 @@ class TypesSpec extends AnyFunSuite {
     assert(TypeSim.equal(NominalInt, "7", "7"))
     assert(!TypeSim.equal(NominalInt, "7", "8"))
   }
+  test("equalFor uses the property's type, Text for an unknown property") {
+    val schema: Map[String, DataType] = Map("runtime" -> Quantity)
+    assert(TypeSim.equalFor(schema, "runtime", "200", "201"))
+    assert(TypeSim.equalFor(schema, "unknown", "Blue Dreams", "blue dreams"))
+    assert(!TypeSim.equalFor(schema, "unknown", "200", "201"))
+  }
   test("all sims are within [0,1]") {
     for (dt <- DataType.all) {
       val s = TypeSim.sim(dt, "foo 1987", "bar 2001")

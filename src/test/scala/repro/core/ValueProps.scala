@@ -31,6 +31,23 @@ object ValueProps extends Properties("Values") {
       Values.normalize(Values.normalize(s)) == Values.normalize(s)
     }
 
+  /** Letters (some outside ASCII), digits, whitespace (with U+00A0), quotes,
+    * brackets and the punctuation normalize strips.
+    */
+  val messy: Gen[String] = Gen.listOf(Gen.frequency(
+    5 -> Gen.alphaChar, 2 -> Gen.numChar,
+    3 -> Gen.oneOf(' ', '\t', '\n', '\u00a0'),
+    2 -> Gen.oneOf('"', '\'', '`', '(', ')', '[', ']', ',', '.', '-'),
+    1 -> Gen.oneOf('É', 'ß', 'İ', 'ñ'))).map(_.mkString)
+
+  property("tokenize ignores normalize") = Prop.forAll(messy) { s =>
+    TextSim.tokenize(Values.normalize(s)) == TextSim.tokenize(s)
+  }
+
+  property("mongeElkan ignores normalize") = Prop.forAll(messy, messy) { (a, b) =>
+    TextSim.mongeElkan(Values.normalize(a), Values.normalize(b)) == TextSim.mongeElkan(a, b)
+  }
+
   property("date equality is reflexive across formats") =
     Prop.forAll(yearGen, monthGen, dayGen) { (y, m, d) =>
       TypeSim.equal(DataType.Date, f"$y%04d-$m%02d-$d%02d", s"$m/$d/$y")

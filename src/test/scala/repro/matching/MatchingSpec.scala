@@ -50,7 +50,33 @@ class MatchingSpec extends SparkSpec {
     assert(acc > 0.9, s"type detection accuracy $acc")
   }
 
+  test("detected types equal DuckDB's majority vote over Spark-typed cells") {
+    val pipe = ctx.pipe
+    val cellType = udf(TypeDetector.cellType _)
+    Oracle.assertEquivalent(pipe.detectedTypes,
+      """WITH votes AS (SELECT tableId, colId, cellType, COUNT(*) AS n
+        |               FROM typed GROUP BY tableId, colId, cellType),
+        |     rk AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY tableId, colId
+        |                                         ORDER BY n DESC, cellType) AS r FROM votes)
+        |SELECT tableId, colId, cellType AS detectedType FROM rk WHERE r = 1""".stripMargin,
+      "typed" -> pipe.cells.select($"tableId", $"colId", cellType($"raw") as "cellType"))
+  }
+
   // ---- label attribute detection ------------------------------------------------
+  test("label columns equal DuckDB's most-distinct text column, leftmost on ties") {
+    val pipe = ctx.pipe
+    Oracle.assertEquivalent(pipe.labelCols,
+      """WITH u AS (SELECT c.tableId, c.colId, COUNT(DISTINCT c.raw) AS uniq
+        |           FROM cells c JOIN col_types t ON c.tableId = t.tableId AND c.colId = t.colId
+        |           WHERE t.detectedType = 'text' GROUP BY c.tableId, c.colId),
+        |     rk AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY tableId
+        |                                         ORDER BY uniq DESC, CAST(colId AS INTEGER)) AS r
+        |            FROM u)
+        |SELECT tableId, colId AS labelColId FROM rk WHERE r = 1""".stripMargin,
+      "cells" -> pipe.cells.select($"tableId", $"colId", $"raw"),
+      "col_types" -> pipe.detectedTypes)
+  }
+
   test("label attribute detection finds the true label column in most tables") {
     val detected = ctx.pipe.labelCols.collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     val truth = ctx.corpus.colTruth.filter(_.isLabel).map(ct => ct.tableId -> ct.colId).toMap
