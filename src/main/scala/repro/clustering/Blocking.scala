@@ -17,39 +17,43 @@ object Blocking {
   /** Exact-label blocks are always kept up to this size. */
   val maxLabelDf = 500
 
-  /** (rowKey, block) memberships. */
+  /** (rowKey, block) memberships. Each block kind groups its members into
+    * one list per block, keeps the blocks whose list is within the kind's
+    * cap and explodes them again: no join of memberships with their counts.
+    */
   def rowBlocks(spark: SparkSession, profiles: DataFrame): DataFrame = {
     import spark.implicits._
+    def capped(memberships: DataFrame, cap: Int): DataFrame =
+      memberships.groupBy($"block").agg(collect_list($"rowKey") as "rows")
+        .filter(size($"rows") <= cap)
+        .select(explode($"rows") as "rowKey", $"block")
     val tok = udf((s: String) => TextSim.tokenize(s))
-    val tokenBlocks = profiles
+    val keptTokens = capped(profiles
       .select($"rowKey", explode(tok($"normLabel")) as "block")
-      .distinct()
-    val tokenDf = tokenBlocks.groupBy($"block").agg(count(lit(1)) as "df")
-    val keptTokens = tokenBlocks.join(tokenDf.filter($"df" <= maxTokenDf), "block")
-      .select($"rowKey", $"block")
-    val labelBlocks = profiles
-      .select($"rowKey", concat(lit("L:"), $"normLabel") as "block")
-    val labelDf = labelBlocks.groupBy($"block").agg(count(lit(1)) as "df")
-    val keptLabels = labelBlocks.join(labelDf.filter($"df" <= maxLabelDf), "block")
-      .select($"rowKey", $"block")
+      .distinct(), maxTokenDf)
+    val keptLabels = capped(profiles
+      .select($"rowKey", concat(lit("L:"), $"normLabel") as "block"), maxLabelDf)
     // 4-char prefix blocks recover typo'd labels whose tokens no longer
     // match exactly (the paper's Lucene index retrieves similar labels)
-    val prefixBlocks = profiles
-      .select($"rowKey", concat(lit("P:"), substring($"normLabel", 1, 4)) as "block")
-    val prefixDf = prefixBlocks.groupBy($"block").agg(count(lit(1)) as "df")
-    val keptPrefixes = prefixBlocks.join(prefixDf.filter($"df" <= maxTokenDf), "block")
-      .select($"rowKey", $"block")
+    val keptPrefixes = capped(profiles
+      .select($"rowKey", concat(lit("P:"), substring($"normLabel", 1, 4)) as "block"), maxTokenDf)
     // Each kind is free of duplicates, and tokens hold no ':', so the kinds
     // are disjoint: the union needs no distinct, and no shuffle of its own.
     keptTokens.union(keptLabels).union(keptPrefixes)
   }
 
-  /** Candidate row pairs (a < b) sharing at least one block. */
+  /** Candidate row pairs (a < b) sharing at least one block: every pair of
+    * each block's member list, then one of each pair.
+    */
   def candidatePairs(spark: SparkSession, blocks: DataFrame): DataFrame = {
     import spark.implicits._
-    blocks.as("x").join(blocks.as("y"), col("x.block") === col("y.block"))
-      .filter(col("x.rowKey") < col("y.rowKey"))
-      .select(col("x.rowKey") as "a", col("y.rowKey") as "b")
+    blocks.groupBy($"block").agg(collect_list($"rowKey") as "rows")
+      .select($"rows").as[Array[Long]]
+      .flatMap { rows =>
+        for (i <- rows.indices.iterator; j <- (i + 1 until rows.length).iterator)
+          yield (math.min(rows(i), rows(j)), math.max(rows(i), rows(j)))
+      }
+      .toDF("a", "b")
       .distinct()
   }
 

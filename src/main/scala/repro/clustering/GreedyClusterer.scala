@@ -15,7 +15,11 @@ case class PairFeature(a: Long, b: Long, features: Seq[Double])
 
 object PairFeatures {
   /** Compute the full 8-feature vector for every candidate pair, as a
-    * distributed join of the pair list with the row profiles.
+    * distributed join of the pair list with the row profiles. The joined
+    * pairs are spread over every core before the features are computed:
+    * with broadcast profile joins they would keep the partitioning of the
+    * candidate pairs' small shuffle read, which AQE coalesces to one
+    * partition, and the features would run as one task.
     */
   def compute(spark: SparkSession, profiles: Dataset[RowProfile], pairs: DataFrame,
               schema: Map[String, DataType]): Dataset[PairFeature] = {
@@ -26,6 +30,7 @@ object PairFeatures {
       profDF.select($"rowKey" as key, struct(profDF.columns.map(col): _*) as s"p$key")
     pairs.join(side("a"), "a").join(side("b"), "b")
       .select($"a", $"b", $"pa", $"pb")
+      .repartition(spark.sparkContext.defaultParallelism, $"a", $"b")
       .as[(Long, Long, RowProfile, RowProfile)]
       .map { case (a, b, pa, pb) =>
         PairFeature(a, b, RowSimilarity.features(pa, pb, schemaB.value).toSeq)

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.regex.Pattern
+
 /** The six data types of the paper (Section 3.1), each with a similarity
   * function and an equivalence threshold used across the whole pipeline:
   * attribute-to-property blocking, ATTRIBUTE row similarity, value grouping
@@ -36,16 +38,24 @@ object Values {
   private val months = Seq("jan", "feb", "mar", "apr", "may", "jun",
                            "jul", "aug", "sep", "oct", "nov", "dec")
 
+  // The patterns of `normalize` and `parseQuantity`, compiled once;
+  // `matcher(s).replaceAll(r)` is what `s.replaceAll(regex, r)` runs.
+  private val nbsp = Pattern.compile("""[ ]""")
+  private val spaces = Pattern.compile("""\s+""")
+  private val edges = Pattern.compile("""^[\x00-\x20"'`\(\[]+|[\x00-\x20"'`\)\],\.]+$""")
+  private val commas = Pattern.compile(",")
+  private val unit = Pattern.compile("""\s*(m|kg|cm|km|ft|lb|lbs|in|people|s|sec|min)\.?$""")
+
   /** Lowercase, collapse whitespace, strip surrounding control characters,
     * whitespace and punctuation. Stripping both in one pass keeps the
     * function idempotent: a quote cannot hide a space from the strip.
     */
   def normalize(raw: String): String =
     if (raw == null) ""
-    else raw.toLowerCase
-      .replaceAll("""[ ]""", " ")
-      .replaceAll("""\s+""", " ")
-      .replaceAll("""^[\x00-\x20"'`\(\[]+|[\x00-\x20"'`\)\],\.]+$""", "")
+    else {
+      val s = nbsp.matcher(raw.toLowerCase).replaceAll(" ")
+      edges.matcher(spaces.matcher(s).replaceAll(" ")).replaceAll("")
+    }
 
   /** True when the string parses as a date under any accepted pattern. */
   def isDate(raw: String): Boolean = parseDate(raw).isDefined
@@ -70,8 +80,7 @@ object Values {
 
   /** Parse a quantity: strips thousand separators and trailing units. */
   def parseQuantity(raw: String): Option[Double] = {
-    val s = normalize(raw).replaceAll(",", "")
-      .replaceAll("""\s*(m|kg|cm|km|ft|lb|lbs|in|people|s|sec|min)\.?$""", "")
+    val s = unit.matcher(commas.matcher(normalize(raw)).replaceAll("")).replaceAll("")
     try { if (s.isEmpty) None else Some(s.toDouble) }
     catch { case _: NumberFormatException => None }
   }

@@ -13,7 +13,8 @@ object Genetic {
 
   /** Weighted-average score of one feature row in [0,1]. */
   def waScore(weights: Array[Double], f: Array[Double]): Double = {
-    val s = weights.sum
+    var s = 0.0; var k = 0
+    while (k < weights.length) { s += weights(k); k += 1 }
     if (s == 0.0) 0.0
     else {
       var acc = 0.0; var i = 0
@@ -22,33 +23,48 @@ object Genetic {
     }
   }
 
-  /** Best threshold + F1 for given scores/labels, scanning score midpoints. */
+  /** Best threshold + F1 for given scores/labels, scanning score midpoints.
+    * Scores are swept in ascending `java.lang.Double.compare` order, one tie
+    * group (scores `==` the group's first) at a time; NaN scores form one
+    * group above every number.
+    */
   def bestThreshold(scores: Array[Double], labels: Array[Boolean]): (Double, Double) = {
-    val order = scores.zip(labels).sortBy(_._1)
-    val totalPos = labels.count(identity)
+    val totalPos = {
+      var c = 0; var k = 0
+      while (k < labels.length) { if (labels(k)) c += 1; k += 1 }
+      c
+    }
     if (totalPos == 0) return (0.5, 0.0)
-    var bestT = 0.5; var bestF1 = -1.0
-    // candidate thresholds: every distinct score (predict >= t as positive)
-    var tp = totalPos; var fp = labels.length - totalPos
-    var i = 0
+    val pos = new Array[Double](totalPos)
+    val neg = new Array[Double](labels.length - totalPos)
+    var np = 0; var nn = 0; var k = 0
+    while (k < labels.length) {
+      if (labels(k)) { pos(np) = scores(k); np += 1 } else { neg(nn) = scores(k); nn += 1 }
+      k += 1
+    }
+    java.util.Arrays.sort(pos); java.util.Arrays.sort(neg)
     def f1(tp: Int, fp: Int): Double = {
       val fn = totalPos - tp
       if (tp == 0) 0.0
       else { val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn); 2 * p * r / (p + r) }
     }
-    val v0 = f1(tp, fp)
-    if (v0 > bestF1) { bestF1 = v0; bestT = if (order.isEmpty) 0.0 else order.head._1 - 1e-9 }
-    while (i < order.length) {
-      // raise the threshold just above order(i)'s score
-      var j = i
-      while (j < order.length && order(j)._1 == order(i)._1) {
-        if (order(j)._2) tp -= 1 else fp -= 1
-        j += 1
-      }
-      val t = if (j < order.length) (order(i)._1 + order(j)._1) / 2 else order(i)._1 + 1e-9
-      val v = f1(tp, fp)
-      if (v > bestF1) { bestF1 = v; bestT = t }
-      i = j
+    def same(x: Double, v: Double): Boolean = x == v || (x.isNaN && v.isNaN)
+    // candidate thresholds: every distinct score (predict >= t as positive)
+    var tp = totalPos; var fp = neg.length
+    var i = 0; var j = 0 // next unswept positive / negative
+    def next: Double =
+      if (i == pos.length) neg(j)
+      else if (j == neg.length || java.lang.Double.compare(pos(i), neg(j)) <= 0) pos(i)
+      else neg(j)
+    var bestT = next - 1e-9; var bestF1 = f1(tp, fp)
+    while (i < pos.length || j < neg.length) {
+      // raise the threshold just above the group's score v
+      val v = next
+      while (i < pos.length && same(pos(i), v)) { tp -= 1; i += 1 }
+      while (j < neg.length && same(neg(j), v)) { fp -= 1; j += 1 }
+      val t = if (i < pos.length || j < neg.length) (v + next) / 2 else v + 1e-9
+      val f = f1(tp, fp)
+      if (f > bestF1) { bestF1 = f; bestT = t }
     }
     (bestT, bestF1)
   }

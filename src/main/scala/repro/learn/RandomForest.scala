@@ -27,12 +27,22 @@ object RandomForest {
     case Split(i, t, l, r) => if (f(i) <= t) predictTree(l, f) else predictTree(r, f)
   }
 
-  private def variance(idx: Array[Int], y: Array[Double]): Double = {
-    if (idx.isEmpty) return 0.0
-    var s = 0.0; var s2 = 0.0
-    idx.foreach { i => s += y(i); s2 += y(i) * y(i) }
-    val m = s / idx.length
-    s2 / idx.length - m * m
+  /** Population variance from a count, a sum and a sum of squares. */
+  private def variance(n: Int, s: Double, s2: Double): Double =
+    if (n == 0) 0.0 else { val m = s / n; s2 / n - m * m }
+
+  /** The distinct values of feature `f` over `idx`, ascending. */
+  private def distinctSorted(xs: Array[Array[Double]], idx: Array[Int], f: Int): Array[Double] = {
+    val v = new Array[Double](idx.length)
+    var k = 0
+    while (k < idx.length) { v(k) = xs(idx(k))(f); k += 1 }
+    java.util.Arrays.sort(v)
+    var n = 0; k = 0
+    while (k < v.length) {
+      if (n == 0 || java.lang.Double.compare(v(n - 1), v(k)) != 0) { v(n) = v(k); n += 1 }
+      k += 1
+    }
+    java.util.Arrays.copyOf(v, n)
   }
 
   private def buildTree(xs: Array[Array[Double]], y: Array[Double], idx: Array[Int],
@@ -41,24 +51,35 @@ object RandomForest {
     if (idx.isEmpty) return Leaf(0.0)
     val mean = idx.map(y).sum / idx.length
     if (depth >= maxDepth || idx.length < 2 * minLeaf) return Leaf(mean)
-    val parentVar = variance(idx, y)
+    var s = 0.0; var s2 = 0.0
+    idx.foreach { i => s += y(i); s2 += y(i) * y(i) }
+    val parentVar = variance(idx.length, s, s2)
     if (parentVar < 1e-12) return Leaf(mean)
 
     val nFeat = xs.head.length
     val feats = rnd.shuffle((0 until nFeat).toList).take(mtry)
     var bestGain = 0.0; var bestF = -1; var bestT = 0.0
     feats.foreach { f =>
-      val vals = idx.map(i => xs(i)(f)).distinct.sorted
+      val vals = distinctSorted(xs, idx, f)
       if (vals.length > 1) {
         // up to 16 candidate thresholds per feature
         val step = math.max(1, vals.length / 16)
         var k = 0
         while (k < vals.length - 1) {
           val t = (vals(k) + vals(k + 1)) / 2
-          val (l, r) = idx.partition(i => xs(i)(f) <= t)
-          if (l.length >= minLeaf && r.length >= minLeaf) {
+          // both sides' count, sum and sum of squares in one pass, in idx order
+          var nl = 0; var sl = 0.0; var s2l = 0.0
+          var nr = 0; var sr = 0.0; var s2r = 0.0
+          var q = 0
+          while (q < idx.length) {
+            val i = idx(q); val yi = y(i)
+            if (xs(i)(f) <= t) { nl += 1; sl += yi; s2l += yi * yi }
+            else { nr += 1; sr += yi; s2r += yi * yi }
+            q += 1
+          }
+          if (nl >= minLeaf && nr >= minLeaf) {
             val gain = parentVar -
-              (l.length * variance(l, y) + r.length * variance(r, y)) / idx.length
+              (nl * variance(nl, sl, s2l) + nr * variance(nr, sr, s2r)) / idx.length
             if (gain > bestGain) { bestGain = gain; bestF = f; bestT = t }
           }
           k += step
@@ -83,10 +104,11 @@ object RandomForest {
     val oobSum = Array.fill(n)(0.0); val oobCnt = Array.fill(n)(0)
     val trees = (0 until nTrees).map { _ =>
       val bag = Array.fill(n)(rnd.nextInt(n))
-      val inBag = bag.toSet
+      val inBag = new Array[Boolean](n)
+      bag.foreach(inBag(_) = true)
       val tree = buildTree(xs, y, bag, 0, maxDepth, minLeaf, mtry, rnd, imp)
       (0 until n).foreach { i =>
-        if (!inBag.contains(i)) { oobSum(i) += predictTree(tree, xs(i)); oobCnt(i) += 1 }
+        if (!inBag(i)) { oobSum(i) += predictTree(tree, xs(i)); oobCnt(i) += 1 }
       }
       tree
     }.toArray

@@ -1,6 +1,9 @@
 package repro.clustering
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestWorld}
+import repro.core.TextSim
 import repro.world.Schemas
 
 /** Integration tests for profiles, blocking and distributed clustering over
@@ -38,6 +41,31 @@ class ClusteringSpec extends SparkSpec {
     val rows = profiles.map(_.rowKey).toSet
     assert(pairFeats.forall(p => rows.contains(p.a) && rows.contains(p.b)))
     assert(comps.keySet == rows)
+  }
+
+  test("grouped blocking gives the memberships and pairs of the join formulation") {
+    import spark.implicits._
+    // Over the caps: a label (501 rows: its label, token and prefix blocks),
+    // a token and its prefix (160 rows), a prefix of distinct tokens (155
+    // rows). At the cap: a token and its prefix (150 rows). Within them:
+    // small token, label and prefix blocks.
+    val labels = Seq.fill(501)("alpha beta") ++ (1 to 160).map(i => s"gamma g$i") ++
+      (1 to 155).map(i => s"deltaword$i") ++ (1 to 150).map(i => s"kappa k$i") ++
+      Seq("epsilon one", "epsilon two", "epsilon one", "zetaa", "zetab", "eta theta")
+    val profiles = labels.zipWithIndex.map { case (l, i) => (i.toLong * 7 % 1000, l) }
+      .toDF("rowKey", "normLabel")
+    val blocks = Blocking.rowBlocks(spark, profiles)
+    val reference = JoinBlocking.rowBlocks(spark, profiles)
+    val memberships = blocks.as[(Long, String)].collect().sorted.toSeq
+    assert(memberships == reference.as[(Long, String)].collect().sorted.toSeq)
+    assert(!memberships.exists(_._2 == "alpha") && !memberships.exists(_._2 == "L:alpha beta") &&
+           !memberships.exists(_._2 == "gamma") && !memberships.exists(_._2 == "P:delt"),
+           "a block over its cap was kept")
+    assert(memberships.count(_._2 == "kappa") == Blocking.maxTokenDf)
+    assert(memberships.exists(_._2 == "L:epsilon one") && memberships.exists(_._2 == "P:zeta"))
+    val pairs = Blocking.candidatePairs(spark, blocks).as[(Long, Long)].collect().sorted.toSeq
+    assert(pairs.nonEmpty)
+    assert(pairs == JoinBlocking.candidatePairs(spark, reference).as[(Long, Long)].collect().sorted.toSeq)
   }
 
   test("blocking keeps same-gold-cluster pairs together (recall)") {
@@ -102,4 +130,30 @@ class ClusteringSpec extends SparkSpec {
     val b = GreedyClusterer.cluster(ctx.spark, edges1, comps)
     assert(a == b)
   }
+}
+
+/** Blocking as it was formulated with joins: memberships joined with their
+  * block's count, and candidate pairs from a self-join on the block.
+  */
+private object JoinBlocking {
+  def rowBlocks(spark: SparkSession, profiles: DataFrame): DataFrame = {
+    import spark.implicits._
+    def kept(memberships: DataFrame, cap: Int): DataFrame = {
+      val df = memberships.groupBy($"block").agg(count(lit(1)) as "df")
+      memberships.join(df.filter($"df" <= cap), "block").select($"rowKey", $"block")
+    }
+    val tok = udf((s: String) => TextSim.tokenize(s))
+    kept(profiles.select($"rowKey", explode(tok($"normLabel")) as "block").distinct(),
+         Blocking.maxTokenDf)
+      .union(kept(profiles.select($"rowKey", concat(lit("L:"), $"normLabel") as "block"),
+                  Blocking.maxLabelDf))
+      .union(kept(profiles.select($"rowKey", concat(lit("P:"), substring($"normLabel", 1, 4)) as "block"),
+                  Blocking.maxTokenDf))
+  }
+
+  def candidatePairs(spark: SparkSession, blocks: DataFrame): DataFrame =
+    blocks.as("x").join(blocks.as("y"), col("x.block") === col("y.block"))
+      .filter(col("x.rowKey") < col("y.rowKey"))
+      .select(col("x.rowKey") as "a", col("y.rowKey") as "b")
+      .distinct()
 }

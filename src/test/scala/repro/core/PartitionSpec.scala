@@ -8,10 +8,9 @@ import repro.world.{CorpusConfig, Schemas, SynthCorpus, SynthWorld, WorldConfig}
 /** Outputs must not depend on how Spark partitions the stage data. */
 class PartitionSpec extends SparkSpec {
 
-  private def withShufflePartitions[A](n: Int)(body: => A): A = {
-    val key = "spark.sql.shuffle.partitions"
+  private def withConf[A](key: String, value: String)(body: => A): A = {
     val saved = spark.conf.get(key)
-    spark.conf.set(key, n.toLong)
+    spark.conf.set(key, value)
     try body finally spark.conf.set(key, saved)
   }
 
@@ -21,7 +20,7 @@ class PartitionSpec extends SparkSpec {
     // The corpus of the benchmark's seed 4, whose outputs moved with the
     // partition count before labels were numbered by content.
     val corpus = SynthCorpus.generate(world, CorpusConfig.test(4000025))
-    def run(partitions: Int): Seq[String] = withShufflePartitions(partitions) {
+    def run(partitions: Int): Seq[String] = withConf("spark.sql.shuffle.partitions", partitions.toString) {
       val ctx = new Experiment.Ctx(spark, world, corpus)
       val models = Experiment.learnFold(ctx, cls, ctx.goldClustersOf(cls).map(_.entityId).toSet)
       RunFingerprint.lines(Experiment.iteration1(ctx, cls, models, Voting))
@@ -51,5 +50,20 @@ class PartitionSpec extends SparkSpec {
       val n = df.rdd.getNumPartitions
       assert(n <= cores, s"$name has $n partitions, $cores cores")
     }
+  }
+
+  test("Song's pair features are spread over more than one partition") {
+    val cores = spark.sparkContext.defaultParallelism
+    assume(cores > 1, "one core: nothing to spread over")
+    // Song's rows form one giant block component. With broadcast profile
+    // joins (Spark's default, off elsewhere in the tests) the features
+    // follow the small candidate-pair shuffle, which AQE coalesces to one
+    // partition.
+    val ctx = TestWorld.ctx
+    val sizes = withConf("spark.sql.autoBroadcastJoinThreshold", "10485760") {
+      val (feats, _) = ctx.pipe.pairStage(ctx.profilesDS1(Schemas.Song))
+      feats.rdd.mapPartitions(it => Iterator(it.size)).collect()
+    }
+    assert(sizes.count(_ > 0) > 1, s"pair features in partitions of sizes ${sizes.mkString(", ")}")
   }
 }

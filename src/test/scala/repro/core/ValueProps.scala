@@ -48,6 +48,30 @@ object ValueProps extends Properties("Values") {
     TextSim.mongeElkan(Values.normalize(a), Values.normalize(b)) == TextSim.mongeElkan(a, b)
   }
 
+  property("normalize equals its String.replaceAll chain") = Prop.forAll(messy) { s =>
+    Values.normalize(s) == s.toLowerCase
+      .replaceAll("""[ ]""", " ")
+      .replaceAll("""\s+""", " ")
+      .replaceAll("""^[\x00-\x20"'`\(\[]+|[\x00-\x20"'`\)\],\.]+$""", "")
+  }
+
+  /** [[messy]] with digits, separators and the unit suffixes parseQuantity strips. */
+  val quantityLike: Gen[String] = for {
+    pre <- Gen.oneOf(Gen.const(""), messy)
+    digits <- Gen.listOf(Gen.oneOf(Gen.numChar, Gen.const(',')))
+    unit <- Gen.oneOf("", " m", "kg", " people", " sec.", "lbs", " in", "s")
+  } yield pre + digits.mkString + unit
+
+  property("parseQuantity equals its String.replaceAll chain") =
+    Prop.forAll(Gen.oneOf(messy, quantityLike)) { s =>
+      val stripped = Values.normalize(s).replaceAll(",", "")
+        .replaceAll("""\s*(m|kg|cm|km|ft|lb|lbs|in|people|s|sec|min)\.?$""", "")
+      val expected =
+        try { if (stripped.isEmpty) None else Some(stripped.toDouble) }
+        catch { case _: NumberFormatException => None }
+      Values.parseQuantity(s) == expected
+    }
+
   property("date equality is reflexive across formats") =
     Prop.forAll(yearGen, monthGen, dayGen) { (y, m, d) =>
       TypeSim.equal(DataType.Date, f"$y%04d-$m%02d-$d%02d", s"$m/$d/$y")

@@ -1,6 +1,9 @@
 package repro.learn
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import scala.util.Random
 
 /** Unit tests for the GA weight learner, the regression random forest and
@@ -33,6 +36,63 @@ class LearnSpec extends AnyFunSuite {
   test("bestThreshold handles interleaved labels") {
     val (_, f1) = Genetic.bestThreshold(Array(0.1, 0.4, 0.5, 0.9), Array(false, true, false, true))
     assert(f1 >= 0.5 && f1 <= 1.0)
+  }
+
+  test("bestThreshold ends on NaN scores, which form one group above every number") {
+    val scores = Array(0.3, Double.NaN, 0.3, Double.NaN, Double.NaN)
+    val labels = Array(false, true, true, false, true)
+    // a spinning sweep keeps a daemon thread busy; the test still fails
+    val (t, f1) = Await.result(
+      Future(Genetic.bestThreshold(scores, labels))(ExecutionContext.global), 30.seconds)
+    // all predicted positive: P = 3/5, R = 1; above 0.3: P = R = 2/3; above NaN: 0
+    assert(f1 == 2 * 0.6 / 1.6)
+    assert(t == 0.3 - 1e-9)
+  }
+
+  /** Checks a ScalaCheck property from a fixed seed. */
+  private def check(prop: Prop): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(org.scalacheck.rng.Seed(17L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
+  /** Scores on a coarse grid (with both zeros), so that many tie. */
+  private val gridScore: Gen[Double] = Gen.oneOf(-0.0, 0.0, 0.25, 0.5, 0.75, 1.0)
+  /** Labels that are mixed, all positive or all negative. */
+  private def labelsOf(n: Int): Gen[Array[Boolean]] = Gen.oneOf(
+    Gen.listOfN(n, Gen.oneOf(true, false)), Gen.const(List.fill(n)(true)),
+    Gen.const(List.fill(n)(false))).map(_.toArray)
+
+  private def sameBits(a: Double, b: Double): Boolean = java.lang.Double.compare(a, b) == 0
+
+  test("bestThreshold equals the boxed sort-and-scan it replaced") {
+    check(Prop.forAll(Gen.choose(0, 60).flatMap(n =>
+        Gen.zip(Gen.listOfN(n, gridScore).map(_.toArray), labelsOf(n)))) { case (scores, labels) =>
+      val (t, f1) = Genetic.bestThreshold(scores, labels)
+      val (t0, f10) = ParentKernels.bestThreshold(scores, labels)
+      t == t0 && f1 == f10 && sameBits(t, t0) && sameBits(f1, f10)
+    })
+  }
+
+  test("waScore equals the weighted mean over Array.sum it replaced") {
+    check(Prop.forAll(Gen.choose(0, 8).flatMap(n =>
+        Gen.zip(Gen.listOfN(n, gridScore).map(_.toArray), Gen.listOfN(n, gridScore).map(_.toArray)))) {
+      case (w, f) => sameBits(Genetic.waScore(w, f), ParentKernels.waScore(w, f))
+    })
+  }
+
+  test("random forest trees equal those of the partition-based split search") {
+    val r = new Random(21)
+    // features on a coarse grid: many tied values per feature
+    val xs = Array.fill(300)(Array.fill(4)(r.nextInt(6) / 5.0))
+    val ys = xs.map(f => if (f(0) + 0.5 * f(1) + 0.3 * r.nextGaussian() > 0.7) 1.0 else -1.0)
+    Seq(3L, 9L).foreach { seed =>
+      val now = RandomForest.train(xs, ys, nTrees = 15, seed = seed)
+      val before = ParentKernels.train(xs, ys, nTrees = 15, seed = seed)
+      assert(now.trees.toSeq == before.trees.toSeq, s"trees differ at seed $seed")
+      assert(now.importances.sameElements(before.importances), s"importances differ at seed $seed")
+    }
   }
 
   // ---- GA ---------------------------------------------------------------------
@@ -113,4 +173,127 @@ class LearnSpec extends AnyFunSuite {
     // tp=1 fp=1 fn=1 -> P=R=0.5 -> F1=0.5
     assert(math.abs(Aggregators.f1(preds, labels) - 0.5) < 1e-12)
   }
+}
+
+/** The learner kernels as they were before they became primitive loops, kept
+  * to check that the loops give the same models.
+  */
+private object ParentKernels {
+  import RandomForest.{Leaf, Model, Node, Split}
+
+  def waScore(weights: Array[Double], f: Array[Double]): Double = {
+    val s = weights.sum
+    if (s == 0.0) 0.0
+    else {
+      var acc = 0.0; var i = 0
+      while (i < weights.length) { acc += weights(i) * f(i); i += 1 }
+      acc / s
+    }
+  }
+
+  def bestThreshold(scores: Array[Double], labels: Array[Boolean]): (Double, Double) = {
+    val order = scores.zip(labels).sortBy(_._1)
+    val totalPos = labels.count(identity)
+    if (totalPos == 0) return (0.5, 0.0)
+    var bestT = 0.5; var bestF1 = -1.0
+    var tp = totalPos; var fp = labels.length - totalPos
+    var i = 0
+    def f1(tp: Int, fp: Int): Double = {
+      val fn = totalPos - tp
+      if (tp == 0) 0.0
+      else { val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn); 2 * p * r / (p + r) }
+    }
+    val v0 = f1(tp, fp)
+    if (v0 > bestF1) { bestF1 = v0; bestT = if (order.isEmpty) 0.0 else order.head._1 - 1e-9 }
+    while (i < order.length) {
+      var j = i
+      while (j < order.length && order(j)._1 == order(i)._1) {
+        if (order(j)._2) tp -= 1 else fp -= 1
+        j += 1
+      }
+      val t = if (j < order.length) (order(i)._1 + order(j)._1) / 2 else order(i)._1 + 1e-9
+      val v = f1(tp, fp)
+      if (v > bestF1) { bestF1 = v; bestT = t }
+      i = j
+    }
+    (bestT, bestF1)
+  }
+
+  private def variance(idx: Array[Int], y: Array[Double]): Double = {
+    if (idx.isEmpty) return 0.0
+    var s = 0.0; var s2 = 0.0
+    idx.foreach { i => s += y(i); s2 += y(i) * y(i) }
+    val m = s / idx.length
+    s2 / idx.length - m * m
+  }
+
+  private def predictTree(n: Node, f: Array[Double]): Double = n match {
+    case Leaf(v) => v
+    case Split(i, t, l, r) => if (f(i) <= t) predictTree(l, f) else predictTree(r, f)
+  }
+
+  private def buildTree(xs: Array[Array[Double]], y: Array[Double], idx: Array[Int],
+                        depth: Int, maxDepth: Int, minLeaf: Int, mtry: Int,
+                        rnd: Random, imp: Array[Double]): Node = {
+    if (idx.isEmpty) return Leaf(0.0)
+    val mean = idx.map(y).sum / idx.length
+    if (depth >= maxDepth || idx.length < 2 * minLeaf) return Leaf(mean)
+    val parentVar = variance(idx, y)
+    if (parentVar < 1e-12) return Leaf(mean)
+    val nFeat = xs.head.length
+    val feats = rnd.shuffle((0 until nFeat).toList).take(mtry)
+    var bestGain = 0.0; var bestF = -1; var bestT = 0.0
+    feats.foreach { f =>
+      val vals = idx.map(i => xs(i)(f)).distinct.sorted
+      if (vals.length > 1) {
+        val step = math.max(1, vals.length / 16)
+        var k = 0
+        while (k < vals.length - 1) {
+          val t = (vals(k) + vals(k + 1)) / 2
+          val (l, r) = idx.partition(i => xs(i)(f) <= t)
+          if (l.length >= minLeaf && r.length >= minLeaf) {
+            val gain = parentVar -
+              (l.length * variance(l, y) + r.length * variance(r, y)) / idx.length
+            if (gain > bestGain) { bestGain = gain; bestF = f; bestT = t }
+          }
+          k += step
+        }
+      }
+    }
+    if (bestF < 0) return Leaf(mean)
+    imp(bestF) += bestGain * idx.length
+    val (l, r) = idx.partition(i => xs(i)(bestF) <= bestT)
+    Split(bestF, bestT,
+      buildTree(xs, y, l, depth + 1, maxDepth, minLeaf, mtry, rnd, imp),
+      buildTree(xs, y, r, depth + 1, maxDepth, minLeaf, mtry, rnd, imp))
+  }
+
+  private def trainOne(xs: Array[Array[Double]], y: Array[Double], nTrees: Int,
+                       maxDepth: Int, minLeaf: Int, seed: Long): (Model, Double) = {
+    val n = xs.length
+    val nFeat = xs.head.length
+    val mtry = math.max(1, math.ceil(nFeat / 3.0).toInt)
+    val rnd = new Random(seed)
+    val imp = Array.fill(nFeat)(0.0)
+    val oobSum = Array.fill(n)(0.0); val oobCnt = Array.fill(n)(0)
+    val trees = (0 until nTrees).map { _ =>
+      val bag = Array.fill(n)(rnd.nextInt(n))
+      val inBag = bag.toSet
+      val tree = buildTree(xs, y, bag, 0, maxDepth, minLeaf, mtry, rnd, imp)
+      (0 until n).foreach { i =>
+        if (!inBag.contains(i)) { oobSum(i) += predictTree(tree, xs(i)); oobCnt(i) += 1 }
+      }
+      tree
+    }.toArray
+    var err = 0.0; var cnt = 0
+    (0 until n).foreach { i =>
+      if (oobCnt(i) > 0) { val d = oobSum(i) / oobCnt(i) - y(i); err += d * d; cnt += 1 }
+    }
+    val tot = imp.sum
+    val normImp = if (tot == 0) Array.fill(nFeat)(1.0 / nFeat) else imp.map(_ / tot)
+    (Model(trees, normImp), if (cnt == 0) Double.MaxValue else err / cnt)
+  }
+
+  def train(xs: Array[Array[Double]], y: Array[Double], nTrees: Int, seed: Long): Model =
+    Seq((4, 4), (6, 2), (8, 2)).map { case (d, l) => trainOne(xs, y, nTrees, d, l, seed) }.minBy(_._2)._1
 }
