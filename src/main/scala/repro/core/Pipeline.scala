@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.exchange.{BroadcastExchangeExec, ReusedExchangeExec}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
 import repro.clustering._
@@ -136,9 +140,40 @@ object Pipeline {
     * partitions of a few rows each, and every later scan of it runs that many
     * tasks. Stage outputs hold thousands of rows, not millions: task
     * overhead, not data, sets their cost.
+    *
+    * Nothing runs the checkpointed plan again, so the broadcast relations
+    * its joins built are destroyed here. Left to Spark's ContextCleaner they
+    * would stay on the driver until a garbage collection happens to find
+    * them, about 1 MB each even for a join on a few long keys.
     */
-  def materialize[T](ds: Dataset[T]): Dataset[T] =
-    ds.coalesce(ds.sparkSession.sparkContext.defaultParallelism).localCheckpoint()
+  def materialize[T](ds: Dataset[T]): Dataset[T] = {
+    val in = ds.coalesce(ds.sparkSession.sparkContext.defaultParallelism)
+    val out = in.localCheckpoint()
+    releaseBroadcasts(in.queryExecution.executedPlan)
+    out
+  }
+
+  /** Destroys the broadcast relations that an executed plan has built,
+    * including those inside adaptive query stages; returns them. Exchanges
+    * that never ran are left alone.
+    */
+  private[core] def releaseBroadcasts(plan: SparkPlan): Seq[Broadcast[Any]] = {
+    val built = scala.collection.mutable.LinkedHashMap.empty[Long, Broadcast[Any]]
+    def walk(p: SparkPlan): Unit = {
+      p match {
+        case a: AdaptiveSparkPlanExec => walk(a.executedPlan)
+        case s: QueryStageExec => walk(s.plan)
+        case r: ReusedExchangeExec => walk(r.child)
+        case b: BroadcastExchangeExec =>
+          b.completionFuture.value.flatMap(_.toOption).foreach(bc => built.getOrElseUpdate(bc.id, bc))
+        case _ =>
+      }
+      p.children.foreach(walk)
+    }
+    walk(plan)
+    built.values.foreach(_.destroy())
+    built.values.toSeq
+  }
 }
 
 /** Models learned for one class (aggregators for clustering and detection,

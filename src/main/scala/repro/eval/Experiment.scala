@@ -1,5 +1,6 @@
 package repro.eval
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerApplicationEnd}
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.clustering.{PairFeature, RowProfile, RowSimilarity}
 import repro.core.{Pipeline, PipelineRunner}
@@ -15,6 +16,16 @@ import repro.world._
   */
 object Experiment {
 
+  /** Drops a session's cached relations when its application ends. Spark
+    * keeps a stopped session reachable (from pooled exchange threads and
+    * executor session state that outlive the context), and with it every
+    * cached local relation, rows included: a process that sets up several
+    * sessions in turn would otherwise keep each one's cells, columns and KB.
+    */
+  private final class ClearCacheOnEnd(spark: SparkSession) extends SparkListener {
+    override def onApplicationEnd(end: SparkListenerApplicationEnd): Unit = spark.catalog.clearCache()
+  }
+
   /** One generated setup with memoized stage outputs. */
   class Ctx(val spark: SparkSession, val world: World, val corpus: Corpus) {
     Keys.requirePackable(corpus.cells.map(_.rowId),
@@ -23,6 +34,7 @@ object Experiment {
     val pipe: Pipeline = new Pipeline(spark, kb,
       corpus.cellsDF(spark).cache(), corpus.columnsDF(spark).cache(),
       Schemas.kbPropertyLabels)
+    spark.sparkContext.addSparkListener(new ClearCacheOnEnd(spark))
     val gold: GoldStandard = corpus.gold
     val schema: Map[String, repro.core.DataType] = kb.propertyTypes
 

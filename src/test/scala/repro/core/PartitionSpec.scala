@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import repro.{RunFingerprint, SparkSpec, TestWorld}
 import repro.eval.Experiment
 import repro.fusion.Voting
@@ -65,5 +66,29 @@ class PartitionSpec extends SparkSpec {
       feats.rdd.mapPartitions(it => Iterator(it.size)).collect()
     }
     assert(sizes.count(_ > 0) > 1, s"pair features in partitions of sizes ${sizes.mkString(", ")}")
+  }
+
+  test("materialize releases the broadcast relations of the plan it checkpoints") {
+    val s = spark
+    import s.implicits._
+    val left = spark.range(200).select($"id" as "k", $"id" * 2 as "v")
+    val right = spark.range(50).select($"id" as "k", $"id".cast("string") as "w")
+    val expected = (0L until 50L).map(k => (k, k * 2, k.toString))
+    withConf("spark.sql.autoBroadcastJoinThreshold", "10485760") {
+      Seq("true", "false").foreach { adaptive =>
+        withConf("spark.sql.adaptive.enabled", adaptive) {
+          val joined = left.join(right, "k").coalesce(2)
+          val out = joined.localCheckpoint()
+          val released = Pipeline.releaseBroadcasts(joined.queryExecution.executedPlan)
+          assert(released.nonEmpty, s"no broadcast relation found (adaptive=$adaptive)")
+          released.foreach(b => intercept[SparkException](b.value))
+          assert(out.as[(Long, Long, String)].collect().sorted.toSeq == expected)
+
+          val materialized = Pipeline.materialize(left.join(right, "k"))
+          assert(materialized.as[(Long, Long, String)].collect().sorted.toSeq == expected)
+          assert(materialized.count() == 50)
+        }
+      }
+    }
   }
 }
