@@ -75,7 +75,7 @@ object GreedyClusterer {
         val es = edgeIt.map(_._2).toSeq.sortBy(e => (e.a, e.b))
         clusterComponent(rows, es).iterator
     }
-    assigned.collect().toMap
+    try assigned.collect().toMap finally compB.destroy()
   }
 
   /** Greedy + KLj for one component. Returns (rowKey, clusterId) pairs. */

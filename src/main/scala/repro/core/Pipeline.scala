@@ -22,7 +22,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
                val cells: DataFrame, val columns: DataFrame,
                val propertyLabels: Map[String, Seq[String]]) {
   import spark.implicits._
-  import Pipeline.materialize
+  import Pipeline.{materialize, perCoreShuffles}
 
   // Every stage output goes through Pipeline.materialize.
   lazy val detectedTypes: DataFrame = materialize(TypeDetector.detect(spark, cells))
@@ -52,18 +52,22 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
 
   /** Apply a learned attribute model; returns colKey -> (property, score). */
   def attrCorrespondences(feats: DataFrame, model: AttributeMatcher.AttrModel): Map[Long, (String, Double)] =
-    AttributeMatcher.matchAttributes(spark, feats, model).collect()
-      .map(r => Keys.colKey(r.getLong(0), r.getInt(1)) -> (r.getString(3), r.getDouble(4)))
-      .toMap
+    perCoreShuffles(spark) {
+      AttributeMatcher.matchAttributes(spark, feats, model).collect()
+        .map(r => Keys.colKey(r.getLong(0), r.getInt(1)) -> (r.getString(3), r.getDouble(4)))
+        .toMap
+    }
 
   /** Row profiles for one class under a given attribute mapping. */
   def profiles(cls: String, attrCorr: Map[Long, String]): Dataset[RowProfile] =
-    materialize(RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr,
-                                  rowCands, kb))
+    perCoreShuffles(spark) {
+      materialize(RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr,
+                                    rowCands, kb))
+    }
 
   /** Blocking, pair features, components for one class's profiles. */
   def pairStage(profilesDS: Dataset[RowProfile]):
-      (Dataset[PairFeature], Map[Long, Long]) = {
+      (Dataset[PairFeature], Map[Long, Long]) = perCoreShuffles(spark) {
     val profDF = profilesDS.toDF()
     val blocks = materialize(Blocking.rowBlocks(spark, profDF))
     val pairs = Blocking.candidatePairs(spark, blocks)
@@ -76,7 +80,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
 
   /** Cluster one class given scored pair features. */
   def cluster(feats: Dataset[PairFeature], comps: Map[Long, Long],
-              agg: Aggregator, featIdx: Array[Int]): Map[Long, Long] = {
+              agg: Aggregator, featIdx: Array[Int]): Map[Long, Long] = perCoreShuffles(spark) {
     val edges = GreedyClusterer.scoreEdges(spark, feats, agg, featIdx)
     GreedyClusterer.cluster(spark, edges, comps)
   }
@@ -84,7 +88,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
   /** Column trust for KBT fusion: fraction of a column's cells equal to the
     * KB fact of the row's best label-candidate instance.
     */
-  def columnTrust(attrCorr: Map[Long, String]): Map[Long, Double] = {
+  def columnTrust(attrCorr: Map[Long, String]): Map[Long, Double] = perCoreShuffles(spark) {
     val top1 = rowCands.withColumn("rk", row_number().over(
         Window.partitionBy($"tableId", $"rowId").orderBy($"labelSim".desc, $"uri")))
       .filter($"rk" === 1).select($"tableId", $"rowId", $"uri")
@@ -102,11 +106,12 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
 
   /** New detection for one class; returns entityKey -> Detection. */
   def detect(cls: String, ents: Dataset[Entity], agg: Aggregator, featIdx: Array[Int],
-             tNew: Double, tMatch: Double): Map[Long, Detection] = {
+             tNew: Double, tMatch: Double): Map[Long, Detection] = perCoreShuffles(spark) {
     val selB = spark.sparkContext.broadcast(selector(cls))
-    ents.rdd.map { e =>
+    try ents.rdd.map { e =>
       e.entityKey -> NewDetector.detect(selB.value.features(e), agg, featIdx, tNew, tMatch)
     }.collect().toMap
+    finally selB.destroy()
   }
 
   private val selectors = scala.collection.mutable.Map.empty[String, CandidateSelector]
@@ -146,11 +151,39 @@ object Pipeline {
     * would stay on the driver until a garbage collection happens to find
     * them, about 1 MB each even for a join on a few long keys.
     */
-  def materialize[T](ds: Dataset[T]): Dataset[T] = {
+  def materialize[T](ds: Dataset[T]): Dataset[T] = perCoreShuffles(ds.sparkSession) {
     val in = ds.coalesce(ds.sparkSession.sparkContext.defaultParallelism)
     val out = in.localCheckpoint()
     releaseBroadcasts(in.queryExecution.executedPlan)
     out
+  }
+
+  private val ShufflePartitions = "spark.sql.shuffle.partitions"
+
+  /** Runs a stage with its shuffles planned at one partition per core: while
+    * `body` runs, spark.sql.shuffle.partitions is the smaller of the
+    * session's value and the default parallelism. Afterwards, also when
+    * `body` throws, the session has exactly the setting it had before, or
+    * none if it had none. A query fixes its shuffle partition count when it
+    * is planned, so a lazy Dataset that `body` returns is planned at the
+    * session's value by whoever runs it.
+    *
+    * Stage data is small (see [[materialize]]), and at 200 partitions the
+    * bypass shuffle writer opens one file and one compression stream per
+    * partition in every map task. The setting belongs to the session, not
+    * to the thread; stages run one at a time from one thread, so no other
+    * query is planned while it holds.
+    */
+  private[core] def perCoreShuffles[A](spark: SparkSession)(body: => A): A = {
+    val conf = spark.conf
+    val saved = conf.getAll.get(ShufflePartitions)
+    conf.set(ShufflePartitions,
+             math.min(conf.get(ShufflePartitions).toLong, spark.sparkContext.defaultParallelism.toLong))
+    try body
+    finally saved match {
+      case Some(v) => conf.set(ShufflePartitions, v)
+      case None => conf.unset(ShufflePartitions)
+    }
   }
 
   /** Destroys the broadcast relations that an executed plan has built,
