@@ -61,7 +61,8 @@ object RowProfiles {
     if (compared > 0) (sum / compared, compared) else (0.0, 0.0)
   }
 
-  /** Build profiles for all rows of the given class.
+  /** Build profiles for all rows of the given class; materialized, with its
+    * broadcasts destroyed after.
     *
     * @param attrCorr  colKey -> matched property (this iteration's mapping)
     * @param rowCands  candidates from TableClassMatcher (tableId,rowId,uri,cls,labelSim)
@@ -160,7 +161,7 @@ object RowProfiles {
       // small Scala maps keep insertion order.
       .agg(map_from_entries(sort_array(collect_list(struct($"combo", $"score")))) as "implicitAtts")
 
-    core
+    try Pipeline.materialize(core
       .join(tablePhi, Seq("tableId"), "left")
       .join(tableImplicit, Seq("tableId"), "left")
       .select($"rowKey", $"tableId", lit(cls) as "cls", $"label", $"normLabel",
@@ -168,6 +169,7 @@ object RowProfiles {
               coalesce($"phi", typedLit(Map.empty[Long, Double])) as "phi",
               $"values", $"valueCols",
               coalesce($"implicitAtts", typedLit(Map.empty[String, Double])) as "implicitAtts")
-      .as[RowProfile]
+      .as[RowProfile])
+    finally Seq(attrCorrB, labelColB, factsByUriB).foreach(_.destroy())
   }
 }

@@ -28,13 +28,11 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
   lazy val detectedTypes: DataFrame = materialize(TypeDetector.detect(spark, cells))
   lazy val labelCols: DataFrame =
     materialize(LabelAttributeDetector.detect(spark, cells, detectedTypes))
-  /** Table classes and row candidates; the matcher materializes the
-    * candidates itself, as it scores classes on them.
+  /** Table classes and row candidates; the matcher materializes both, as
+    * it scores classes on the candidates and releases its broadcasts after.
     */
-  lazy val tableClassAndCands: (DataFrame, DataFrame) = {
-    val (tc, cands) = TableClassMatcher.matchClasses(spark, cells, labelCols, kb)
-    (materialize(tc), cands)
-  }
+  lazy val tableClassAndCands: (DataFrame, DataFrame) =
+    TableClassMatcher.matchClasses(spark, cells, labelCols, kb)
   def tableClass: DataFrame = tableClassAndCands._1
   def rowCands: DataFrame = tableClassAndCands._2
 
@@ -58,11 +56,12 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
         .toMap
     }
 
-  /** Row profiles for one class under a given attribute mapping. */
+  /** Row profiles for one class under a given attribute mapping
+    * (materialized by the builder, which releases its broadcasts after).
+    */
   def profiles(cls: String, attrCorr: Map[Long, String]): Dataset[RowProfile] =
     perCoreShuffles(spark) {
-      materialize(RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr,
-                                    rowCands, kb))
+      RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr, rowCands, kb)
     }
 
   /** Blocking, pair features, components for one class's profiles. */
@@ -98,11 +97,12 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
       .collect().map(r => Keys.colKey(r.getLong(0), r.getInt(1)) -> r.getDouble(2)).toMap
   }
 
-  /** Entity creation for one class. */
+  /** Entity creation for one class (materialized by the builder, which
+    * releases its broadcasts after).
+    */
   def entities(profilesDS: Dataset[RowProfile], clusters: Map[Long, Long],
-               scoring: FusionScoring, colScores: Map[Long, Double]): Dataset[Entity] = {
+               scoring: FusionScoring, colScores: Map[Long, Double]): Dataset[Entity] =
     EntityCreation.create(spark, profilesDS, clusters, kb.propertyTypes, scoring, colScores)
-  }
 
   /** New detection for one class; returns entityKey -> Detection. */
   def detect(cls: String, ents: Dataset[Entity], agg: Aggregator, featIdx: Array[Int],

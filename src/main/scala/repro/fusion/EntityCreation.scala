@@ -1,7 +1,7 @@
 package repro.fusion
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.core.{DataType, TypeSim, Values}
+import repro.core.{DataType, Pipeline, TypeSim, Values}
 import repro.clustering.RowProfile
 
 /** A created entity (paper Section 3.3): labels from the rows' label
@@ -41,7 +41,7 @@ object EntityCreation {
   }
 
   /** Create entities from row clusters as a distributed group-by over the
-    * cluster assignment.
+    * cluster assignment; materialized, with its broadcasts destroyed after.
     *
     * @param clusters   rowKey -> clusterId
     * @param colScores  colKey -> weight for the configured scoring approach
@@ -54,11 +54,12 @@ object EntityCreation {
     val schemaB = spark.sparkContext.broadcast(schema)
     val scoresB = spark.sparkContext.broadcast(colScores)
     val scoringB = spark.sparkContext.broadcast(scoring)
-    profiles
+    try Pipeline.materialize(profiles
       .groupByKey(p => clustersB.value.getOrElse(p.rowKey, p.rowKey))
       .mapGroups { (clusterId, it) =>
         fromRows(clusterId, it.toSeq, schemaB.value, scoringB.value, scoresB.value)
-      }
+      })
+    finally Seq(clustersB, schemaB, scoresB, scoringB).foreach(_.destroy())
   }
 
   /** Build one entity from its cluster's rows (driver-callable for tests). */

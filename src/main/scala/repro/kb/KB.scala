@@ -2,7 +2,7 @@ package repro.kb
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{DataType, TextSim, Values}
+import repro.core.{DataType, TextSim}
 
 /** One property of a KB class schema. */
 case class PropertySpec(cls: String, property: String, dataTypeName: String) {
@@ -75,14 +75,6 @@ class KnowledgeBase(val spark: SparkSession,
   /** Class hierarchy as stored on the instances: class -> parent chain. */
   lazy val classParents: Map[String, Seq[String]] =
     instancesSeq.groupBy(_.cls).map { case (c, is) => c -> is.head.parents }
-
-  /** (labels table) DataFrame: uri, cls, normLabel — one row per label,
-    * for join-based row-to-instance candidate generation.
-    */
-  lazy val labelsDF: DataFrame =
-    instancesSeq.flatMap { i =>
-      (i.label +: i.altLabels).map(l => (i.uri, i.cls, Values.normalize(l)))
-    }.toDF("uri", "cls", "normLabel").cache()
 
   /** Paper Table 1: instances and facts per class. */
   def classProfile(classes: Seq[String]): DataFrame = {

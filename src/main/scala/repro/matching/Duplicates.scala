@@ -12,8 +12,12 @@ import repro.kb.KnowledgeBase
 object Duplicates {
 
   /** True when `raw` equals `value` under the data type of `property`. */
+  def equalValue(types: Map[String, DataType], property: String, raw: String, value: String): Boolean =
+    TypeSim.equal(types(property), raw, value)
+
+  /** [[equalValue]] over columns. */
   def equal(types: Map[String, DataType], property: Column, raw: Column, value: Column): Column =
-    udf((p: String, a: String, b: String) => TypeSim.equal(types(p), a, b))
+    udf((p: String, a: String, b: String) => equalValue(types, p, a, b))
       .apply(property, raw, value)
 
   /** Cells against the KB facts of their rows' instances. `rowInstances`

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.UUID
-import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import org.apache.spark.SparkException
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{RunFingerprint, SparkSpec, TestWorld}
@@ -24,20 +24,18 @@ class PartitionSpec extends SparkSpec {
   private val ShufflePartitions = "spark.sql.shuffle.partitions"
   private val MarkKey = "repro.partitionSpec.mark"
 
-  /** Partition counts of the shuffles read by the jobs that `body` runs, by
-    * the id of the RDD that reads each one. The jobs' events are delivered
-    * to listeners asynchronously; a marked job run after `body` tells when
-    * all of them have arrived.
+  /** The start events of the jobs that `body` runs. The events are
+    * delivered to listeners asynchronously; a marked job run after `body`
+    * tells when all of them have arrived.
     */
-  private def shuffleReads(body: => Any): Map[Int, Int] = {
+  private def jobStarts(body: => Any): Seq[SparkListenerJobStart] = {
     val mark = UUID.randomUUID().toString
-    val reads = new ConcurrentHashMap[Int, Int]()
+    val starts = new ConcurrentLinkedQueue[SparkListenerJobStart]()
     val marked = new CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(job: SparkListenerJobStart): Unit =
         if (Option(job.properties).exists(_.getProperty(MarkKey) == mark)) marked.countDown()
-        else job.stageInfos.flatMap(_.rddInfos).filter(_.name.startsWith("Shuffled"))
-          .foreach(r => reads.put(r.id, r.numPartitions))
+        else starts.add(job)
     }
     val sc = spark.sparkContext
     sc.addSparkListener(listener)
@@ -47,8 +45,16 @@ class PartitionSpec extends SparkSpec {
       try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(MarkKey, null)
       assert(marked.await(60, TimeUnit.SECONDS), "the marked job's start was not delivered")
     } finally sc.removeSparkListener(listener)
-    reads.asScala.toMap
+    starts.asScala.toSeq
   }
+
+  /** Partition counts of the shuffles read by the jobs that `body` runs, by
+    * the id of the RDD that reads each one.
+    */
+  private def shuffleReads(body: => Any): Map[Int, Int] =
+    jobStarts(body).flatMap(_.stageInfos).flatMap(_.rddInfos)
+      .filter(r => r.name.startsWith("Shuffled") || r.name.startsWith("CoGrouped"))
+      .map(r => r.id -> r.numPartitions).toMap
 
   test("iteration-1 outputs are equal at 1, 2 and 3 shuffle partitions") {
     val cls = Schemas.Song
@@ -107,13 +113,15 @@ class PartitionSpec extends SparkSpec {
     val pipe = new Pipeline(spark, ctx.kb, ctx.pipe.cells, ctx.pipe.columns, Schemas.kbPropertyLabels)
     lazy val profiles = pipe.profiles(cls, attrCorr)
     lazy val pairStage = pipe.pairStage(profiles)
+    lazy val clusters = pipe.cluster(pairStage._1, pairStage._2, models.clusterAgg, clusterIdx)
     val stages: Seq[(String, () => Any)] = Seq(
       "table class" -> (() => pipe.tableClassAndCands),
       "attribute features" -> (() => pipe.attrFeatures1),
       "correspondences" -> (() => pipe.attrCorrespondences(pipe.attrFeatures1, ctx.attrModel1)),
       "profiles" -> (() => profiles),
       "pair stage" -> (() => pairStage),
-      "cluster" -> (() => pipe.cluster(pairStage._1, pairStage._2, models.clusterAgg, clusterIdx)),
+      "cluster" -> (() => clusters),
+      "entities" -> (() => pipe.entities(profiles, clusters, Voting, Map.empty)),
       "column trust" -> (() => pipe.columnTrust(attrCorr)),
       "detect" -> (() => pipe.detect(cls, ents.toDS(), models.detectAgg,
         EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)))
@@ -141,6 +149,16 @@ class PartitionSpec extends SparkSpec {
       Pipeline.materialize(spark.range(10).groupBy($"id" % 3).count())
       assert(!spark.conf.getAll.contains(ShufflePartitions))
     } finally session.foreach(spark.conf.set(ShufflePartitions, _))
+  }
+
+  test("table-to-class matching runs in at most three Spark jobs") {
+    val ctx = TestWorld.ctx
+    val pipe = new Pipeline(spark, ctx.kb, ctx.pipe.cells, ctx.pipe.columns, Schemas.kbPropertyLabels)
+    pipe.labelCols
+    // The label columns' collect, then one job for each of the two outputs;
+    // a plan of joins and group-bys runs a job per exchange.
+    val jobs = jobStarts(pipe.tableClassAndCands)
+    assert(jobs.size <= 3, s"${jobs.size} jobs: ${jobs.map(_.jobId).mkString(", ")}")
   }
 
   test("Song's pair features are spread over more than one partition") {
